@@ -23,6 +23,7 @@ def reduced_scenario():
 
 
 def test_dijkstra_single_item(benchmark, reduced_scenario):
+    """One untargeted search of the §4.2 loop over a fresh state."""
     state = NetworkState(reduced_scenario)
     item_id = reduced_scenario.requested_item_ids()[0]
     tree = benchmark(compute_shortest_path_tree, state, item_id)
@@ -54,17 +55,6 @@ def test_timeline_reserve_and_query(benchmark):
         return total
 
     assert benchmark(exercise) >= 0.0
-
-
-def test_dijkstra_reference_kernel(benchmark, reduced_scenario):
-    """The object-walking loop, for comparison against the CSR kernel
-    timed by :func:`test_dijkstra_single_item` (compiled is the default)."""
-    state = NetworkState(reduced_scenario)
-    item_id = reduced_scenario.requested_item_ids()[0]
-    tree = benchmark(
-        compute_shortest_path_tree, state, item_id, use_compiled=False
-    )
-    assert tree.seed_machines()
 
 
 def _earliest_fit_probe(busy, window, count):

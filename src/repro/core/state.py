@@ -16,11 +16,11 @@ a schedule is being built.  It tracks:
   (bookings and outage cutoffs) plus a global *capacity epoch* for
   availability-adding ones, which the
   :class:`~repro.heuristics.base.TreeCache` replays to revalidate cached
-  trees lazily instead of recomputing them;
-* a per-quiescent-period memo of :meth:`earliest_transfer` outcomes,
-  cleared on every mutation, so repeated probes of the same
-  ``(item, link, sender_ready)`` key between bookings are answered
-  without re-searching.
+  trees lazily instead of recomputing them.
+
+:meth:`earliest_transfer` keeps no table of earlier outcomes: its answer
+depends only on the current state, so a repeated probe recomputes the
+same plan and re-emits the same trace events.
 
 All transfers are booked through :meth:`book_transfer`, which enforces every
 model constraint (window containment, link exclusivity, receiver capacity
@@ -217,15 +217,6 @@ class NetworkState:
         self._epoch: int = next(NetworkState._epoch_source)
         self._capacity_epoch: int = 0
         self._journal: List[MutationRecord] = []
-        # (item_id, link_id, sender_ready) -> (plan or None, reason or
-        # None): memoized earliest_transfer outcomes, valid only while no
-        # mutation occurs (every mutator clears the table).  The link's
-        # communication time is a pure function of (item, link), so it is
-        # not part of the key.
-        self._transfer_memo: Dict[
-            Tuple[int, int, float],
-            Tuple[Optional[TransferPlan], Optional[str]],
-        ] = {}
         self._schedule = Schedule(name=schedule_name)
         # Destination lookup: (item_id, machine) -> request, for delivery
         # detection on arrival.
@@ -313,7 +304,6 @@ class NetworkState:
         clone._epoch = next(NetworkState._epoch_source)
         clone._capacity_epoch = 0
         clone._journal = []
-        clone._transfer_memo = {}
         schedule = Schedule(name=self._schedule.name)
         schedule.extend_from(self._schedule.steps)
         for delivery in self._schedule.deliveries.values():
@@ -524,26 +514,11 @@ class NetworkState:
             A :class:`TransferPlan`, or ``None`` when no feasible start
             exists on this link.
         """
-        tracer = self._tracer
-        tracing = tracer.enabled
-        memo_key = (item_id, link.link_id, sender_ready)
-        memoized = self._transfer_memo.get(memo_key)
-        if memoized is not None:
-            # Replay the original probe's events exactly, so observers
-            # cannot distinguish a memo hit from a recomputation.
-            plan, memo_reason = memoized
-            if tracing:
-                tracer.on_transfer_attempt(item_id, link.link_id)
-                if memo_reason is not None:
-                    tracer.on_transfer_rejected(
-                        item_id, link.link_id, memo_reason
-                    )
-            return plan
-        if tracing:
-            tracer.on_transfer_attempt(item_id, link.link_id)
+        if self._tracer.enabled:
+            self._tracer.on_transfer_attempt(item_id, link.link_id)
         if self.holds(item_id, link.destination):
-            return self._memo_reject(
-                memo_key, item_id, link.link_id, REASON_ALREADY_AT_DESTINATION
+            return self._reject_probe(
+                item_id, link.link_id, REASON_ALREADY_AT_DESTINATION
             )
         item = self._scenario.item(item_id)
         if duration is None:
@@ -562,8 +537,8 @@ class NetworkState:
         )
         window_start = link.start
         if window_end <= window_start:
-            return self._memo_reject(
-                memo_key, item_id, link.link_id, REASON_WINDOW_CLOSED
+            return self._reject_probe(
+                item_id, link.link_id, REASON_WINDOW_CLOSED
             )
         # The probe loop below runs once per edge relaxation of every
         # Dijkstra search, so it stays in the float-core API: no Interval
@@ -575,25 +550,23 @@ class NetworkState:
         while True:
             start = busy.first_fit(duration, window_start, window_end, cursor)
             if start is None:
-                return self._memo_reject(
-                    memo_key, item_id, link.link_id, REASON_NO_LINK_SLOT
+                return self._reject_probe(
+                    item_id, link.link_id, REASON_NO_LINK_SLOT
                 )
             if timeline.can_reserve_span(item_size, start, release):
-                plan = TransferPlan(
+                return TransferPlan(
                     item_id=item_id,
                     link=link,
                     start=start,
                     end=start + duration,
                     release=release,
                 )
-                self._transfer_memo[memo_key] = (plan, None)
-                return plan
             next_start = timeline.next_sufficient_start(
                 item_size, start, release
             )
             if next_start is None or next_start + duration > window_end:
-                return self._memo_reject(
-                    memo_key, item_id, link.link_id, REASON_NO_STORAGE
+                return self._reject_probe(
+                    item_id, link.link_id, REASON_NO_STORAGE
                 )
             if next_start <= start:
                 raise SchedulingError(
@@ -602,15 +575,10 @@ class NetworkState:
                 )
             cursor = next_start
 
-    def _memo_reject(
-        self,
-        memo_key: Tuple[int, int, float],
-        item_id: int,
-        link_id: int,
-        reason: str,
+    def _reject_probe(
+        self, item_id: int, link_id: int, reason: str
     ) -> Optional[TransferPlan]:
-        """Record an infeasible probe in the memo and emit its event."""
-        self._transfer_memo[memo_key] = (None, reason)
+        """Emit an infeasible probe's rejection event."""
         if self._tracer.enabled:
             self._tracer.on_transfer_rejected(item_id, link_id, reason)
         return None
@@ -734,7 +702,6 @@ class NetworkState:
                 residency=residency,
             )
         )
-        self._transfer_memo.clear()
         step = self._schedule.add_step(
             item_id=plan.item_id,
             source=link.source,
@@ -792,7 +759,6 @@ class NetworkState:
                 kind=MUTATION_CUTOFF, link_id=link_id, cutoff=at_time
             )
         )
-        self._transfer_memo.clear()
         if self._tracer.enabled:
             self._tracer.on_link_disabled(link_id, at_time)
 
@@ -838,7 +804,6 @@ class NetworkState:
             if link.physical_id == physical_id:
                 self._link_revision[link.link_id] += 1
                 degraded += 1
-        self._transfer_memo.clear()
         if self._tracer.enabled:
             self._tracer.on_faults_applied(0, degraded)
 
@@ -882,7 +847,6 @@ class NetworkState:
             # cached footprint — bump the global capacity epoch instead of
             # journalling a footprint-checkable record.
             self._capacity_epoch += 1
-            self._transfer_memo.clear()
             if self._tracer.enabled:
                 self._tracer.on_copy_removed(item_id, machine, at_time)
 
@@ -904,7 +868,6 @@ class NetworkState:
         self._schedule.remove_delivery(request_id)
         request = self._scenario.request(request_id)
         self._item_revision[request.item_id] += 1
-        self._transfer_memo.clear()
         if self._tracer.enabled:
             self._tracer.on_request_reopened(request_id)
 

@@ -24,7 +24,9 @@ from repro.observability.tracer import Tracer, _inherit_hook_docs
 #: Version stamp written into every serialized metrics document.
 #: Version 2: adds the ``tree_cache_reasons`` tally (hit/miss outcome
 #: codes from :data:`repro.observability.tracer.TREE_CACHE_REASONS`).
-METRICS_SCHEMA_VERSION = 2
+#: Version 3: drops the compiled-kernel search counter (the kernel is
+#: gone; ``dijkstra_searches`` counts every search).
+METRICS_SCHEMA_VERSION = 3
 
 #: Counter keys every RunMetrics carries (missing keys default to 0).
 COUNTER_KEYS: Tuple[str, ...] = (
@@ -36,7 +38,6 @@ COUNTER_KEYS: Tuple[str, ...] = (
     "requests_reopened",
     "links_disabled",
     "dijkstra_searches",
-    "dijkstra_compiled",
     "edge_relaxations",
     "edges_pruned",
     "tree_cache_hits",
@@ -305,12 +306,9 @@ class MetricsCollector(Tracer):
         pruned: int,
         finalized: int,
         seeds: int,
-        compiled: bool = False,
     ) -> None:
         metrics = self._metrics
         metrics.bump("dijkstra_searches")
-        if compiled:
-            metrics.bump("dijkstra_compiled")
         metrics.bump("edge_relaxations", relaxations)
         metrics.bump("edges_pruned", pruned)
 

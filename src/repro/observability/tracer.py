@@ -224,16 +224,8 @@ class Tracer:
         pruned: int,
         finalized: int,
         seeds: int,
-        compiled: bool = False,
     ) -> None:
-        """One adapted-Dijkstra search finished (with search effort).
-
-        ``compiled`` reports which kernel ran: the array-backed
-        :mod:`repro.routing.compiled` path or the reference
-        object-walking loop.  The two are byte-identical in every other
-        observable, so this flag is the only way a trace reveals the
-        kernel choice.
-        """
+        """One adapted-Dijkstra search finished (with search effort)."""
 
     # -- engine -----------------------------------------------------------
 
@@ -473,7 +465,6 @@ class _EventTracer(Tracer):
         pruned: int,
         finalized: int,
         seeds: int,
-        compiled: bool = False,
     ) -> None:
         self._event(
             "dijkstra",
@@ -482,7 +473,6 @@ class _EventTracer(Tracer):
             pruned=pruned,
             finalized=finalized,
             seeds=seeds,
-            compiled=compiled,
         )
 
     def on_tree_cache(self, item_id: int, hit: bool, reason: str) -> None:
@@ -694,10 +684,10 @@ class TeeTracer(Tracer):
         """
         return any(child.enabled for child in self.children)
 
-    def _fan_out(self, method: str, *args: Any, **kwargs: Any) -> None:
+    def _fan_out(self, method: str, *args: Any) -> None:
         for child in self.children:
             if child.enabled:
-                getattr(child, method)(*args, **kwargs)
+                getattr(child, method)(*args)
 
     def on_transfer_attempt(self, *args: Any) -> None:
         self._fan_out("on_transfer_attempt", *args)
@@ -720,8 +710,8 @@ class TeeTracer(Tracer):
     def on_link_disabled(self, *args: Any) -> None:
         self._fan_out("on_link_disabled", *args)
 
-    def on_dijkstra(self, *args: Any, **kwargs: Any) -> None:
-        self._fan_out("on_dijkstra", *args, **kwargs)
+    def on_dijkstra(self, *args: Any) -> None:
+        self._fan_out("on_dijkstra", *args)
 
     def on_tree_cache(self, *args: Any) -> None:
         self._fan_out("on_tree_cache", *args)

@@ -27,7 +27,6 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.core.state import NetworkState
 from repro.observability.profiling import PHASE_DIJKSTRA, span
-from repro.routing.compiled import compute_tree_compiled
 from repro.routing.paths import ShortestPathTree, make_tree
 
 
@@ -36,7 +35,6 @@ def compute_shortest_path_tree(
     item_id: int,
     targets: Optional[Set[int]] = None,
     not_before: float = 0.0,
-    use_compiled: bool = True,
 ) -> ShortestPathTree:
     """Earliest-arrival tree for one data item over the current state.
 
@@ -51,19 +49,12 @@ def compute_shortest_path_tree(
         not_before: wall-clock lower bound on every planned transfer start
             (the "now" of a dynamic re-scheduling pass).  Copies whose
             release precedes it cannot seed the search.
-        use_compiled: run the array-backed
-            :mod:`repro.routing.compiled` kernel (the default).  The two
-            kernels produce byte-identical trees — this escape hatch
-            mirrors ``use_tree_cache`` and exists for differential
-            testing and fallback, not for behavioral choice.
 
     Returns:
         The :class:`~repro.routing.paths.ShortestPathTree` with exact
         earliest arrivals for every reachable (finalized) machine.
     """
     with span(PHASE_DIJKSTRA, state.tracer):
-        if use_compiled:
-            return compute_tree_compiled(state, item_id, targets, not_before)
         return _compute_tree(state, item_id, targets, not_before)
 
 

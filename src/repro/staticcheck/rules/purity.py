@@ -65,19 +65,9 @@ MUTATOR_METHODS = frozenset(
 #: ``*Cache`` class defines them.
 _CACHE_ENTRY_METHODS = frozenset({"key_for", "_revalidate", "_validity"})
 
-#: Module-scoped entry points: per relpath suffix, module-level functions
-#: whose call trees must stay pure.  The compiled-scenario constructors
-#: are memoized by identity and reused across searches, so any impurity
-#: inside them would make the compiled kernel order-dependent.
-_MODULE_ENTRY_FUNCTIONS: Dict[str, frozenset] = {
-    "routing/compiled.py": frozenset(
-        {"compile_network", "compile_durations"}
-    ),
-}
-
 
 def is_purity_entry(info: FunctionInfo) -> bool:
-    """True for fingerprint, codec, cache-key, and compile entry points."""
+    """True for fingerprint, codec, and cache-key entry points."""
     name = info.name
     if name == "fingerprint" or name.endswith("_fingerprint"):
         return True
@@ -89,10 +79,6 @@ def is_purity_entry(info: FunctionInfo) -> bool:
         and name in _CACHE_ENTRY_METHODS
     ):
         return True
-    if info.class_name is None:
-        for suffix, names in _MODULE_ENTRY_FUNCTIONS.items():
-            if name in names and info.relpath.endswith(suffix):
-                return True
     return False
 
 
@@ -349,6 +335,4 @@ class PurityReachabilityRule(Rule):
             return "fingerprint"
         if name == "to_dict" or name.endswith("_to_dict"):
             return "codec"
-        if info.class_name is None and name.startswith("compile_"):
-            return "compile"
         return "cache"

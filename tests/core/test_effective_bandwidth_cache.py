@@ -6,9 +6,14 @@ and cached until :attr:`NetworkState.degradation_epoch` moves.  These
 tests pin the cache contract: identical object while the epoch stands, a
 fresh (and correct) list after any degradation, no leakage between a
 state and its clone, and tree-cache invalidation keyed on the epoch.
+They also pin :meth:`NetworkState.degrade_physical_link`'s argument
+checks, since only a valid tightening may move the epoch.
 """
 
+import pytest
+
 from repro.core.state import NetworkState
+from repro.errors import SchedulingError
 from repro.faults import BandwidthDegradation, FaultPlan
 from repro.heuristics.base import EngineStats, TreeCache
 from repro.observability import RecordingTracer, use_tracer
@@ -103,3 +108,27 @@ class TestTreeCacheInvalidation:
         state.degrade_physical_link(0, 0.5)
         second = cache.entry_for(0).tree
         assert second.arrival(1) > first.arrival(1)
+
+
+class TestDegradeValidation:
+    def test_rejects_out_of_range_factor(self):
+        state = NetworkState(single_item_line_scenario())
+        with pytest.raises(ValueError):
+            state.degrade_physical_link(0, 0.0)
+        with pytest.raises(ValueError):
+            state.degrade_physical_link(0, 1.5)
+
+    def test_rejects_unknown_link(self):
+        state = NetworkState(single_item_line_scenario())
+        with pytest.raises(SchedulingError):
+            state.degrade_physical_link(99, 0.5)
+
+    def test_rejects_loosening(self):
+        state = NetworkState(single_item_line_scenario())
+        state.degrade_physical_link(0, 0.5)
+        with pytest.raises(SchedulingError):
+            state.degrade_physical_link(0, 0.75)
+        # Tightening further is allowed and bumps the epoch again.
+        before = state.degradation_epoch
+        state.degrade_physical_link(0, 0.25)
+        assert state.degradation_epoch == before + 1

@@ -1,6 +1,6 @@
 """Differential property: the incremental tree cache never alters results.
 
-The revalidation layer (journal replay + transfer memo, see
+The revalidation layer (journal replay, see
 :class:`~repro.heuristics.base.TreeCache`) is a pure optimization: for any
 scenario, heuristic, fault intensity, and worker count, the produced
 schedule — and therefore the :class:`~repro.experiments.runner.RunRecord`

@@ -1,10 +1,11 @@
-"""Journal revalidation, clone-epoch guards, and the transfer memo.
+"""Journal revalidation, clone-epoch guards, and probe purity.
 
 Unit coverage for the incremental :class:`~repro.heuristics.base.TreeCache`:
 every hit/miss reason in ``TREE_CACHE_REASONS`` is driven by a concrete
 mutation, the clone-epoch guard rejects serving a ``clone()``'d state, and
-the per-state ``earliest_transfer`` memo replays byte-identical results
-(and trace events) until the next mutation clears it.
+``earliest_transfer`` is a function of the state it probes — a repeated
+probe gives the same plan and the same trace events, and a mutation (or
+a clone's own booking) changes the answer.
 """
 
 import pytest
@@ -258,15 +259,17 @@ class TestCloneEpochGuard:
         assert result.schedule.satisfied_request_ids()
 
 
-class TestTransferMemo:
-    def test_repeated_probe_returns_the_identical_plan(self):
+class TestProbePurity:
+    """``earliest_transfer`` answers from the current state alone."""
+
+    def test_repeated_probe_same_plan(self):
         state = NetworkState(_reval_scenario())
         link = state.scenario.network.link(HOP_A1)
         first = state.earliest_transfer(0, link, 0.0)
         second = state.earliest_transfer(0, link, 0.0)
         assert first is not None and second == first
 
-    def test_rejection_is_memoized_too(self):
+    def test_repeated_rejection_same_events(self):
         scenario = _reval_scenario()
         tracer = RecordingTracer()
         with use_tracer(tracer):
@@ -276,11 +279,11 @@ class TestTransferMemo:
         assert state.earliest_transfer(0, link, beyond) is None
         assert state.earliest_transfer(0, link, beyond) is None
         rejected = tracer.named("transfer_rejected")
-        # The memo hit replays the same rejection event byte-for-byte.
+        # The recomputed rejection emits the same event byte-for-byte.
         assert len(rejected) == 2
         assert rejected[0].as_dict() == rejected[1].as_dict()
 
-    def test_memo_hit_replays_the_attempt_event(self):
+    def test_repeated_attempt_same_events(self):
         scenario = _reval_scenario()
         tracer = RecordingTracer()
         with use_tracer(tracer):
@@ -292,25 +295,26 @@ class TestTransferMemo:
         assert len(attempts) == 2
         assert attempts[0].as_dict() == attempts[1].as_dict()
 
-    def test_booking_invalidates_the_memo(self):
+    def test_booking_changes_next_probe(self):
         state = NetworkState(_reval_scenario())
         link = state.scenario.network.link(HOP_A1)
         before = state.earliest_transfer(0, link, 0.0)
         assert before is not None
-        # Item 1 books the planned slot; the re-probe must not replay
-        # the memoized (now stale) plan.
+        # Item 1 books the planned slot; the re-probe must see it and
+        # not return the now-stale plan.
         _book(state, 1, HOP_A1)
         after = state.earliest_transfer(0, link, 0.0)
         assert after is not None
         assert after.start > before.start
 
-    def test_clone_starts_with_an_empty_memo(self):
+    def test_clone_probes_own_resources(self):
         state = NetworkState(_reval_scenario())
         link = state.scenario.network.link(HOP_A1)
         assert state.earliest_transfer(0, link, 0.0) is not None
         clone = state.clone()
         _book(clone, 1, HOP_A1)
-        # The clone re-searches instead of replaying the parent's memo.
+        # Each state probes its own bookings: the clone's booking moves
+        # the clone's plan and leaves the parent's untouched.
         parent_plan = state.earliest_transfer(0, link, 0.0)
         clone_plan = clone.earliest_transfer(0, link, 0.0)
         assert parent_plan is not None and clone_plan is not None

@@ -185,10 +185,13 @@ class TestValidation:
             validate_metrics_document(document)
 
     def test_rejects_unsupported_schema_version(self):
-        document = self._valid()
-        document["schema_version"] = METRICS_SCHEMA_VERSION + 1
-        with pytest.raises(ModelError):
-            validate_metrics_document(document)
+        # A future version, and schema 2 (which still carried the removed
+        # compiled-kernel counter).
+        for version in (METRICS_SCHEMA_VERSION + 1, 2):
+            document = self._valid()
+            document["schema_version"] = version
+            with pytest.raises(ModelError):
+                validate_metrics_document(document)
 
     def test_rejects_non_mapping_counters(self):
         document = self._valid()

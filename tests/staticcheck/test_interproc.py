@@ -111,67 +111,6 @@ def test_r7_accepts_injected_seeded_stream(lint_files):
     assert result.clean
 
 
-def test_r7_treats_compile_functions_as_entry_points(lint_files):
-    result = lint_files(
-        {
-            "routing/compiled.py": """
-            import random
-
-
-            def compile_network(network) -> list:
-                return [random.random()]
-            """
-        },
-        rules=["R7"],
-    )
-    assert len(result.findings) == 1
-    assert "compile entry point" in result.findings[0].message
-
-
-def test_r7_compile_entries_are_path_scoped(lint_files):
-    # The same function name outside routing/compiled.py is no entry.
-    result = lint_files(
-        {
-            "workload/builder.py": """
-            import random
-
-
-            def compile_network(network) -> list:
-                return [random.random()]
-            """
-        },
-        rules=["R7"],
-    )
-    assert result.clean
-
-
-def test_r7_memo_wrappers_stay_outside_the_pure_core(lint_files):
-    # compiled_for writes the module-level memo — legal, because only the
-    # compile_* call trees are held to the purity bar; the wrapper calls
-    # into the pure core, never the other way around.
-    result = lint_files(
-        {
-            "routing/compiled.py": """
-            MEMO = {}
-
-
-            def compile_network(network) -> int:
-                return network
-
-
-            def compiled_for(network) -> int:
-                value = MEMO.get(network)
-                if value is None:
-                    value = compile_network(network)
-                    MEMO[network] = value
-                return value
-            """
-        },
-        rules=["R7"],
-    )
-    assert result.clean
-
-
 # ---------------------------------------------------------------------------
 # R8: frozen after publish
 # ---------------------------------------------------------------------------
