@@ -43,21 +43,21 @@ def test_dijkstra_all_items(benchmark, reduced_scenario):
     assert len(trees) == len(items)
 
 
-def test_timeline_reserve_and_query(benchmark):
-    def exercise():
-        timeline = CapacityTimeline(1_000_000.0)
-        for k in range(200):
-            start = float((k * 37) % 1000)
-            timeline.reserve(100.0, Interval(start, start + 50.0))
-        total = 0.0
-        for k in range(200):
-            total += timeline.min_free(Interval(float(k), float(k + 60)))
-        return total
-
-    assert benchmark(exercise) >= 0.0
+def _reserved_timeline():
+    timeline = CapacityTimeline(1_000_000.0)
+    for k in range(200):
+        start = float((k * 37) % 1000)
+        timeline.reserve(100.0, Interval(start, start + 50.0))
+    return timeline
 
 
-def _earliest_fit_probe(busy, window, count):
+def test_timeline_reserve(benchmark):
+    """200 overlapping reservations into a fresh timeline."""
+    timeline = benchmark(_reserved_timeline)
+    assert timeline.min_free_span(0.0, 1000.0) >= 0.0
+
+
+def _first_fit_probe(busy, window, count):
     total = 0.0
     for k in range(count):
         start = busy.first_fit(7.0, window.start, window.end, float(k * 3))
@@ -66,30 +66,27 @@ def _earliest_fit_probe(busy, window, count):
     return total
 
 
-def test_earliest_fit_dense(benchmark):
+def test_first_fit_dense(benchmark):
     """Rejection-heavy probing of a set with many short busy intervals."""
     busy = IntervalSet(
         Interval(float(k * 10), float(k * 10 + 8)) for k in range(100)
     )
     window = Interval(0.0, 1000.0)
-    assert benchmark(_earliest_fit_probe, busy, window, 200) >= 0.0
+    assert benchmark(_first_fit_probe, busy, window, 200) >= 0.0
 
 
-def test_earliest_fit_sparse(benchmark):
+def test_first_fit_sparse(benchmark):
     """Mostly-free link: probes should return at the first gap."""
     busy = IntervalSet(
         Interval(float(k * 200), float(k * 200 + 5)) for k in range(5)
     )
     window = Interval(0.0, 1000.0)
-    assert benchmark(_earliest_fit_probe, busy, window, 200) >= 0.0
+    assert benchmark(_first_fit_probe, busy, window, 200) >= 0.0
 
 
 def test_min_free_span_probe(benchmark):
     """The storage feasibility probe of ``earliest_transfer``."""
-    timeline = CapacityTimeline(1_000_000.0)
-    for k in range(200):
-        start = float((k * 37) % 1000)
-        timeline.reserve(100.0, Interval(start, start + 50.0))
+    timeline = _reserved_timeline()
 
     def probe():
         total = 0.0

@@ -81,36 +81,36 @@ class Interval:
 class IntervalSet:
     """A mutable, sorted collection of pairwise-disjoint intervals.
 
-    Used for virtual-link busy time.  Insertion of an interval overlapping an
-    existing member raises :class:`ValueError` — the scheduler must query
-    :meth:`is_free` / :meth:`earliest_fit` first, so an overlapping insert is
-    a logic error worth failing loudly on.
+    Used for virtual-link busy time.  Members are stored as two parallel
+    sorted lists of start and end times; :class:`Interval` objects are
+    built only on demand.  Insertion of an interval overlapping an existing
+    member raises :class:`ValueError` — the scheduler must query
+    :meth:`span_is_free` / :meth:`first_fit` first, so an overlapping
+    insert is a logic error worth failing loudly on.
     """
 
-    __slots__ = ("_starts", "_ends", "_intervals")
+    __slots__ = ("_starts", "_ends")
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
         self._starts: List[float] = []
         self._ends: List[float] = []
-        self._intervals: List[Interval] = []
         for interval in sorted(intervals):
             self.add(interval)
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        return len(self._starts)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self._intervals)
+        return iter(self.intervals())
 
     def __contains__(self, interval: Interval) -> bool:
-        idx = bisect.bisect_left(self._starts, interval.start)
-        return idx < len(self._intervals) and self._intervals[idx] == interval
+        return self._index_of(interval) is not None
 
     def __repr__(self) -> str:
-        return f"IntervalSet({self._intervals!r})"
+        return f"IntervalSet({list(self.intervals())!r})"
 
     def copy(self) -> "IntervalSet":
-        """An independent copy (intervals themselves are immutable).
+        """An independent copy.
 
         Built through ``__new__`` — the members are already sorted and
         pairwise disjoint, so re-validating them through ``add`` would be
@@ -120,30 +120,24 @@ class IntervalSet:
         clone = IntervalSet.__new__(IntervalSet)
         clone._starts = list(self._starts)
         clone._ends = list(self._ends)
-        clone._intervals = list(self._intervals)
         return clone
 
     def total_duration(self) -> float:
         """Sum of the durations of all member intervals."""
-        return sum(interval.duration for interval in self._intervals)
-
-    def is_free(self, candidate: Interval) -> bool:
-        """True if ``candidate`` overlaps no member interval."""
-        if candidate.is_empty():
-            return True
-        return self.span_is_free(candidate.start, candidate.end)
+        return sum(end - start for start, end in zip(self._starts, self._ends))
 
     def span_is_free(self, start: float, end: float) -> bool:
-        """Float-core overlap query over the half-open ``[start, end)``.
+        """True if the half-open ``[start, end)`` overlaps no member.
 
-        Equivalent to :meth:`is_free` for a non-empty candidate, but takes
-        the bounds as plain floats so hot callers need not build an
-        :class:`Interval`.  Members are non-empty and pairwise disjoint, so
-        the only candidates for overlap are the member starting at or
-        before ``start`` (overlaps iff it ends after ``start``) and the
-        first member starting after ``start`` (overlaps iff it starts
-        before ``end``).
+        An empty span (``end <= start``) overlaps nothing and is always
+        free.  Members are non-empty and pairwise disjoint, so the only
+        candidates for overlap are the member starting at or before
+        ``start`` (overlaps iff it ends after ``start``) and the first
+        member starting after ``start`` (overlaps iff it starts before
+        ``end``).
         """
+        if end <= start:
+            return True
         starts = self._starts
         idx = bisect.bisect_right(starts, start)
         if idx > 0 and self._ends[idx - 1] > start:
@@ -158,14 +152,13 @@ class IntervalSet:
         """
         if interval.is_empty():
             return
-        if not self.is_free(interval):
+        if not self.span_is_free(interval.start, interval.end):
             raise ValueError(
                 f"{interval!r} overlaps an existing interval in {self!r}"
             )
         idx = bisect.bisect_left(self._starts, interval.start)
         self._starts.insert(idx, interval.start)
         self._ends.insert(idx, interval.end)
-        self._intervals.insert(idx, interval)
 
     def remove(self, interval: Interval) -> None:
         """Remove an exact member interval.
@@ -173,34 +166,21 @@ class IntervalSet:
         Raises:
             KeyError: if the exact interval is not a member.
         """
+        idx = self._index_of(interval)
+        if idx is None:
+            raise KeyError(f"{interval!r} is not a member of the set")
+        del self._starts[idx]
+        del self._ends[idx]
+
+    def _index_of(self, interval: Interval) -> Optional[int]:
+        """Position of the exact member ``interval``, or ``None``."""
         idx = bisect.bisect_left(self._starts, interval.start)
-        if idx < len(self._intervals) and self._intervals[idx] == interval:
-            del self._starts[idx]
-            del self._ends[idx]
-            del self._intervals[idx]
-            return
-        raise KeyError(f"{interval!r} is not a member of the set")
-
-    def earliest_fit(
-        self,
-        duration: float,
-        window: Interval,
-        earliest: float = float("-inf"),
-    ) -> Optional[float]:
-        """Earliest start ``>= max(window.start, earliest)`` of a free gap.
-
-        The returned start time ``s`` guarantees ``[s, s + duration)`` is
-        disjoint from every member interval and contained in ``window``.
-        Returns ``None`` when no such start exists.
-
-        Args:
-            duration: required gap length in seconds (must be >= 0).
-            window: bounding availability window (e.g. a virtual link's
-                ``[Lst, Let)``).
-            earliest: additional lower bound on the start time (e.g. the
-                moment the sender holds the data item).
-        """
-        return self.first_fit(duration, window.start, window.end, earliest)
+        if (
+            idx < len(self._starts)
+            and Interval(self._starts[idx], self._ends[idx]) == interval
+        ):
+            return idx
+        return None
 
     def first_fit(
         self,
@@ -209,13 +189,23 @@ class IntervalSet:
         window_end: float,
         earliest: float = float("-inf"),
     ) -> Optional[float]:
-        """Float-core of :meth:`earliest_fit` (no :class:`Interval` input).
+        """Earliest start ``>= max(window_start, earliest)`` of a free gap.
 
-        Identical semantics, but the bounding window arrives as two plain
-        floats and the scan reads the parallel ``_starts``/``_ends``
+        The returned start time ``s`` guarantees ``[s, s + duration)`` is
+        disjoint from every member interval and contained in the bounding
+        window ``[window_start, window_end)``.  Returns ``None`` when no
+        such start exists.  The scan reads the parallel ``_starts``/``_ends``
         lists, so the feasibility probes of
         :meth:`~repro.core.state.NetworkState.earliest_transfer` allocate
         nothing when they reject.
+
+        Args:
+            duration: required gap length in seconds (must be >= 0).
+            window_start: start of the bounding availability window (e.g.
+                a virtual link's ``Lst``).
+            window_end: end of the bounding window (e.g. ``Let``).
+            earliest: additional lower bound on the start time (e.g. the
+                moment the sender holds the data item).
 
         Raises:
             ValueError: if ``duration`` is negative.
@@ -256,4 +246,7 @@ class IntervalSet:
 
     def intervals(self) -> Tuple[Interval, ...]:
         """The member intervals in ascending order (immutable snapshot)."""
-        return tuple(self._intervals)
+        return tuple(
+            Interval(start, end)
+            for start, end in zip(self._starts, self._ends)
+        )

@@ -9,13 +9,12 @@ a schedule is being built.  It tracks:
 * per data item — the set of machines currently holding a copy, when each
   copy became available, and when it will be garbage-collected;
 * which requests have been satisfied so far;
-* monotonically increasing *revision counters* per link, per machine, and
-  per item, which the heuristics use to decide whether a cached
-  shortest-path tree is still valid;
+* a monotonically increasing *revision counter* per item, bumped whenever
+  the item's copy set or satisfied-request set changes;
 * an append-only *mutation journal* of availability-removing changes
   (bookings and outage cutoffs) plus a global *capacity epoch* for
-  availability-adding ones, which the
-  :class:`~repro.heuristics.base.TreeCache` replays to revalidate cached
+  availability-adding ones.  With the item revision these are what the
+  :class:`~repro.heuristics.base.TreeCache` checks to revalidate cached
   trees lazily instead of recomputing them.
 
 :meth:`earliest_transfer` keeps no table of earlier outcomes: its answer
@@ -156,8 +155,8 @@ class NetworkState:
 
     #: Process-wide source of unique state identity tokens; every state —
     #: including every clone — gets its own, so a cache bound to one state
-    #: can never silently validate against another whose revision counters
-    #: restarted from zero.
+    #: can never silently validate against another whose item revisions
+    #: and journal restarted from zero.
     _epoch_source = itertools.count()
 
     def __init__(
@@ -178,15 +177,12 @@ class NetworkState:
             plan = None
         self._faults = plan
         network = scenario.network
-        # Per-physical-link degradation factors (sub-1.0 only) and the
-        # epoch counting their changes.  The per-virtual-link delivered
-        # bandwidth list is derived lazily in effective_bandwidths() and
-        # cached until the epoch moves, so tree computations share one
-        # list instead of rebuilding it per search.
-        self._degradation_factors: Dict[int, float] = {}
-        self._degradation_epoch: int = 0
-        self._effective_bandwidth: Optional[List[float]] = None
-        self._effective_cache_epoch: int = -1
+        # Delivered bandwidth per virtual link: nominal, lowered by
+        # _apply_faults for degraded links, then never mutated — tree
+        # computations and clones share this one list.
+        self._effective_bandwidth: List[float] = [
+            link.bandwidth for link in network.virtual_links
+        ]
         self._busy: List[IntervalSet] = [
             IntervalSet() for _ in network.virtual_links
         ]
@@ -211,8 +207,6 @@ class NetworkState:
         self._link_cutoff: List[float] = (
             [float("inf")] * len(network.virtual_links)
         )
-        self._link_revision: List[int] = [0] * len(network.virtual_links)
-        self._machine_revision: List[int] = [0] * network.machine_count
         self._item_revision: List[int] = [0] * len(scenario.items)
         self._epoch: int = next(NetworkState._epoch_source)
         self._capacity_epoch: int = 0
@@ -253,13 +247,14 @@ class NetworkState:
         """
         plan.check_against(self._scenario)
         factors = plan.bandwidth_factors()
-        if factors:
-            self._degradation_factors.update(factors)
-            self._degradation_epoch += 1
         masked = 0
         degraded = 0
         for link in self._scenario.network.virtual_links:
-            if link.physical_id in factors:
+            factor = factors.get(link.physical_id)
+            if factor is not None:
+                self._effective_bandwidth[link.link_id] = (
+                    link.bandwidth * factor
+                )
                 degraded += 1
             for outage in plan.outage_intervals(link.physical_id):
                 clipped = outage.intersection(link.window)
@@ -274,32 +269,25 @@ class NetworkState:
 
         The clone shares the immutable scenario but owns private busy sets,
         timelines, copy tables, and a full copy of the schedule built so
-        far.  Revision counters reset to zero (they only order events
-        within one state's lifetime, and a fresh tree cache accompanies a
-        fresh state); the clone receives a fresh :attr:`epoch` token, so a
+        far.  Item revisions, the mutation journal and the capacity epoch
+        reset (they only order events within one state's lifetime, and a
+        fresh tree cache accompanies a fresh state); the clone receives a
+        fresh :attr:`epoch` token, so a
         :class:`~repro.heuristics.base.TreeCache` bound to the parent
         refuses to serve the clone instead of silently validating stale
-        trees against the restarted counters.
+        trees against the restarted revisions.  The effective-bandwidth
+        list is shared: nothing mutates it after construction.
         """
         clone = NetworkState.__new__(NetworkState)
         clone._scenario = self._scenario
         clone._tracer = self._tracer
         clone._faults = self._faults
-        # The cached bandwidth list is shared (a degradation in either
-        # state rebuilds a fresh list rather than mutating the old one);
-        # the factor table is copied because degrade_physical_link
-        # mutates it in place.
-        clone._degradation_factors = dict(self._degradation_factors)
-        clone._degradation_epoch = self._degradation_epoch
         clone._effective_bandwidth = self._effective_bandwidth
-        clone._effective_cache_epoch = self._effective_cache_epoch
         clone._busy = [busy.copy() for busy in self._busy]
         clone._timelines = [timeline.copy() for timeline in self._timelines]
         clone._copies = [dict(copies) for copies in self._copies]
         clone._satisfied = dict(self._satisfied)
         clone._link_cutoff = list(self._link_cutoff)
-        clone._link_revision = [0] * len(self._link_revision)
-        clone._machine_revision = [0] * len(self._machine_revision)
         clone._item_revision = [0] * len(self._item_revision)
         clone._epoch = next(NetworkState._epoch_source)
         clone._capacity_epoch = 0
@@ -339,38 +327,15 @@ class NetworkState:
         """The applied fault plan, or ``None`` for a healthy state."""
         return self._faults
 
-    def effective_bandwidth(self, link_id: int) -> float:
-        """Delivered bandwidth of a virtual link (nominal unless degraded)."""
-        return self.effective_bandwidths()[link_id]
-
     def effective_bandwidths(self) -> List[float]:
         """Per-link delivered bandwidth, indexed by ``link_id``.
 
-        The routing layer's relaxation loop indexes this list directly on
-        its hot path instead of calling :meth:`effective_bandwidth` per
-        edge.  The list is derived from the degradation table once per
-        :attr:`degradation_epoch` and cached — a rebuild allocates a fresh
-        list, so callers (and clones) may hold the returned one across
-        degradations without seeing it change underneath them.  Do not
+        Nominal bandwidth, scaled by the fault plan's factor on degraded
+        links.  Built once at construction and shared with clones; the
+        routing layer's relaxation loop indexes it directly.  Do not
         mutate.
         """
-        cached = self._effective_bandwidth
-        if (
-            cached is not None
-            and self._effective_cache_epoch == self._degradation_epoch
-        ):
-            return cached
-        network = self._scenario.network
-        bandwidths = [link.bandwidth for link in network.virtual_links]
-        factors = self._degradation_factors
-        if factors:
-            for link in network.virtual_links:
-                factor = factors.get(link.physical_id)
-                if factor is not None:
-                    bandwidths[link.link_id] = link.bandwidth * factor
-        self._effective_bandwidth = bandwidths
-        self._effective_cache_epoch = self._degradation_epoch
-        return bandwidths
+        return self._effective_bandwidth
 
     def copies(self, item_id: int) -> Dict[int, CopyRecord]:
         """Current copies of an item, keyed by machine (snapshot)."""
@@ -408,14 +373,6 @@ class NetworkState:
         """The machine's free-capacity timeline (live object — do not mutate)."""
         return self._timelines[machine]
 
-    def link_revision(self, link_id: int) -> int:
-        """Revision counter of a virtual link (bumped on every booking)."""
-        return self._link_revision[link_id]
-
-    def machine_revision(self, machine: int) -> int:
-        """Revision counter of a machine's storage timeline."""
-        return self._machine_revision[machine]
-
     def item_revision(self, item_id: int) -> int:
         """Revision counter of an item's copy set."""
         return self._item_revision[item_id]
@@ -424,24 +381,11 @@ class NetworkState:
     def epoch(self) -> int:
         """This state's unique identity token (fresh per state and clone).
 
-        Revision counters restart at zero in every clone, so two states
-        can expose identical counters while holding different resources;
-        caches bind to the epoch to tell states apart.
+        Item revisions and the journal restart at zero in every clone, so
+        two states can expose identical revisions while holding different
+        resources; caches bind to the epoch to tell states apart.
         """
         return self._epoch
-
-    @property
-    def degradation_epoch(self) -> int:
-        """Bumped whenever a bandwidth degradation is applied or deepened.
-
-        Transfer durations are computed from the effective bandwidths, so
-        a moved epoch invalidates every cached duration (and, through the
-        :class:`~repro.heuristics.base.TreeCache`, every cached tree) in
-        one comparison.  Degradations are not journalled — they change
-        durations globally rather than removing one resource — so caches
-        must treat a changed bandwidth epoch as a global invalidation.
-        """
-        return self._degradation_epoch
 
     @property
     def capacity_epoch(self) -> int:
@@ -638,7 +582,7 @@ class NetworkState:
                 f"released at {sender_copy.release}",
             )
         busy_interval = Interval(plan.start, plan.end)
-        if not self._busy[link.link_id].is_free(busy_interval):
+        if not self._busy[link.link_id].span_is_free(plan.start, plan.end):
             self._reject_booking(
                 plan.item_id,
                 link.link_id,
@@ -664,7 +608,7 @@ class NetworkState:
             )
         residency = Interval(plan.start, plan.release)
         timeline = self._timelines[link.destination]
-        if not timeline.can_reserve(item.size, residency):
+        if not timeline.can_reserve_span(item.size, plan.start, plan.release):
             self._reject_booking(
                 plan.item_id,
                 link.link_id,
@@ -690,8 +634,6 @@ class NetworkState:
             hops=sender_copy.hops + 1,
         )
         self._copies[plan.item_id][link.destination] = copy
-        self._link_revision[link.link_id] += 1
-        self._machine_revision[link.destination] += 1
         self._item_revision[plan.item_id] += 1
         self._journal.append(
             MutationRecord(
@@ -753,7 +695,6 @@ class NetworkState:
                 f"{self._link_cutoff[link_id]}; cannot loosen to {at_time}"
             )
         self._link_cutoff[link_id] = at_time
-        self._link_revision[link_id] += 1
         self._journal.append(
             MutationRecord(
                 kind=MUTATION_CUTOFF, link_id=link_id, cutoff=at_time
@@ -762,57 +703,13 @@ class NetworkState:
         if self._tracer.enabled:
             self._tracer.on_link_disabled(link_id, at_time)
 
-    def degrade_physical_link(self, physical_id: int, factor: float) -> None:
-        """Scale a physical link's delivered bandwidth by ``factor``.
-
-        Models a dynamic degradation: every virtual link of the physical
-        link delivers ``nominal * factor`` from now on, lengthening all
-        future transfer durations.  Like outages, degradations are
-        permanent and may only tighten — replacing an existing factor
-        with a larger one would shorten durations and is rejected.  Bumps
-        the :attr:`degradation_epoch` (callers holding cached duration
-        tables or trees must recompute) and the revision counter of every
-        affected virtual link.
-
-        Raises:
-            ValueError: if ``factor`` is outside ``(0, 1]``.
-            SchedulingError: if the physical link is unknown or the new
-                factor does not tighten the existing one.
-        """
-        if not 0.0 < factor <= 1.0:
-            raise ValueError(
-                f"degradation factor must be in (0, 1], got {factor}"
-            )
-        network = self._scenario.network
-        if not any(
-            plink.physical_id == physical_id
-            for plink in network.physical_links
-        ):
-            raise SchedulingError(
-                f"cannot degrade unknown physical link {physical_id}"
-            )
-        current = self._degradation_factors.get(physical_id, 1.0)
-        if factor >= current:
-            raise SchedulingError(
-                f"physical link {physical_id} already degraded to "
-                f"{current}; cannot loosen to {factor}"
-            )
-        self._degradation_factors[physical_id] = factor
-        self._degradation_epoch += 1
-        degraded = 0
-        for link in network.virtual_links:
-            if link.physical_id == physical_id:
-                self._link_revision[link.link_id] += 1
-                degraded += 1
-        if self._tracer.enabled:
-            self._tracer.on_faults_applied(0, degraded)
-
     def remove_copy(self, item_id: int, machine: int, at_time: float) -> None:
         """Delete a resident copy at ``at_time`` (a dynamic loss event).
 
         The copy's remaining storage reservation ``[at_time, release)`` is
         returned to the machine and the copy disappears from the item's
-        location table; revision counters bump so cached trees recompute.
+        location table; the item revision and the capacity epoch bump so
+        cached trees recompute.
         Used only by :mod:`repro.dynamic` — the static model never loses
         copies.
 
@@ -841,7 +738,6 @@ class NetworkState:
                     item.size, Interval(at_time, copy.release)
                 )
             del self._copies[item_id][machine]
-            self._machine_revision[machine] += 1
             self._item_revision[item_id] += 1
             # Freed storage can improve paths through machines outside any
             # cached footprint — bump the global capacity epoch instead of

@@ -60,20 +60,13 @@ class CapacityTimeline:
         idx = bisect.bisect_right(self._times, t) - 1
         return self._values[idx]
 
-    def min_free(self, interval: Interval) -> float:
-        """Minimum free capacity over the half-open ``interval``.
-
-        An empty interval imposes no constraint and reports the total
-        capacity.
-        """
-        return self.min_free_span(interval.start, interval.end)
-
     def min_free_span(self, start: float, end: float) -> float:
-        """Float-core of :meth:`min_free` over half-open ``[start, end)``.
+        """Minimum free capacity over the half-open ``[start, end)``.
 
-        Both breakpoints bounding the span are found by bisection, so the
-        walk touches exactly the segments intersecting the span and the
-        hot feasibility probes need not build an :class:`Interval`.
+        An empty span imposes no constraint and reports the total
+        capacity.  Both breakpoints bounding the span are found by
+        bisection, so the walk touches exactly the segments intersecting
+        the span.
         """
         if end <= start:
             return self._capacity
@@ -88,12 +81,8 @@ class CapacityTimeline:
                 minimum = value
         return minimum
 
-    def can_reserve(self, amount: float, interval: Interval) -> bool:
-        """True if ``amount`` bytes are free throughout ``interval``."""
-        return self.can_reserve_span(amount, interval.start, interval.end)
-
     def can_reserve_span(self, amount: float, start: float, end: float) -> bool:
-        """Float-core of :meth:`can_reserve` (no :class:`Interval` input)."""
+        """True if ``amount`` bytes are free throughout ``[start, end)``."""
         if amount < 0:
             raise ValueError(f"amount must be non-negative, got {amount}")
         return self.min_free_span(start, end) >= amount
@@ -139,10 +128,11 @@ class CapacityTimeline:
             raise ValueError(f"amount must be non-negative, got {amount}")
         if size_is_zero(amount) or interval.is_empty():
             return
-        if not self.can_reserve(amount, interval):
+        if not self.can_reserve_span(amount, interval.start, interval.end):
             raise CapacityError(
                 f"cannot reserve {amount} bytes over {interval!r}: "
-                f"minimum free is {self.min_free(interval)}"
+                "minimum free is "
+                f"{self.min_free_span(interval.start, interval.end)}"
             )
         self._ensure_breakpoint(interval.start)
         self._ensure_breakpoint(interval.end)

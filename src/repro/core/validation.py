@@ -112,7 +112,7 @@ class ScheduleValidator:
                 )
             self._check_outages(step, link, transfer)
             link_busy = busy.setdefault(link.link_id, IntervalSet())
-            if not link_busy.is_free(transfer):
+            if not link_busy.span_is_free(transfer.start, transfer.end):
                 raise ValidationError(
                     f"{step}: virtual link {link.link_id} already carries a "
                     f"transfer during {transfer!r}"

@@ -51,7 +51,6 @@ from repro.observability.profiling import (
     span,
 )
 from repro.observability.tracer import (
-    TREE_CACHE_BANDWIDTH_DEGRADED,
     TREE_CACHE_CAPACITY_RELEASED,
     TREE_CACHE_CLEAN,
     TREE_CACHE_COLD,
@@ -126,9 +125,6 @@ class CacheEntry:
             successful revalidation.
         capacity_epoch: the state's capacity epoch at snapshot time
             (capacity-adding mutations invalidate globally).
-        degradation_epoch: the state's bandwidth-degradation epoch at
-            snapshot time (degradations change durations globally and are
-            not journalled, so they too invalidate globally).
         hop_intervals: planned transfer interval per footprint link id.
         residencies: planned storage residency per receiving machine.
         item_size: the routed item's size in bytes (for residency
@@ -140,7 +136,6 @@ class CacheEntry:
     item_revision: int
     journal_position: int
     capacity_epoch: int
-    degradation_epoch: int = 0
     hop_intervals: Dict[int, Interval] = field(default_factory=dict)
     residencies: Dict[int, Interval] = field(default_factory=dict)
     item_size: float = 0.0
@@ -150,8 +145,9 @@ class CacheEntry:
 class TreeCache:
     """Journal-revalidated cache of per-item shortest-path trees.
 
-    Coarse revision counters answer the cheap question ("did *anything*
-    about this item change?"); when unrelated mutations have occurred the
+    The item revision answers the cheap question ("did *anything* about
+    this item change?"), and the capacity epoch catches storage returned
+    anywhere in the network; when unrelated mutations have occurred the
     cache does not recompute immediately but replays the state's mutation
     journal against the entry's interval footprint: a booking invalidates
     only when its busy interval overlaps a planned hop on a footprint
@@ -163,8 +159,8 @@ class TreeCache:
     algorithm exactly (pinned by the differential test suites).
 
     The cache binds to its state's :attr:`~repro.core.state.NetworkState
-    .epoch` token at construction; serving a different state — whose
-    revision counters may have restarted from zero (``clone()``) — raises
+    .epoch` token at construction; serving a different state — whose item
+    revisions and journal may have restarted from zero (``clone()``) — raises
     :class:`~repro.errors.ConfigurationError` instead of silently
     validating stale trees.
 
@@ -207,8 +203,8 @@ class TreeCache:
         Raises:
             ConfigurationError: when ``state`` is a different object (for
                 example a ``clone()``) than the one the cache was
-                constructed with — its revision counters restarted from
-                zero, so cached trees would silently validate against the
+                constructed with — its item revisions and journal restarted
+                from zero, so cached trees would silently validate against the
                 wrong resources.
         """
         if state.epoch != self._epoch:
@@ -275,10 +271,6 @@ class TreeCache:
             return TREE_CACHE_ITEM_CHANGED
         if state.capacity_epoch != cached.capacity_epoch:
             return TREE_CACHE_CAPACITY_RELEASED
-        if state.degradation_epoch != cached.degradation_epoch:
-            # Degradations lengthen durations globally and are not
-            # journalled, so no footprint replay can vouch for the tree.
-            return TREE_CACHE_BANDWIDTH_DEGRADED
         journal_size = state.journal_length()
         if journal_size == cached.journal_position:
             return TREE_CACHE_CLEAN
@@ -323,9 +315,9 @@ class TreeCache:
                 if planned is not None and record.cutoff < planned.end:
                     return TREE_CACHE_CUTOFF_TIGHTENED
         for machine in sorted(suspect_machines):
-            timeline = state.machine_timeline(machine)
-            if not timeline.can_reserve(
-                cached.item_size, residencies[machine]
+            residency = residencies[machine]
+            if not state.machine_timeline(machine).can_reserve_span(
+                cached.item_size, residency.start, residency.end
             ):
                 return TREE_CACHE_RESIDENCY_CONFLICT
         cached.journal_position = journal_size
@@ -343,7 +335,6 @@ class TreeCache:
             item_revision=state.item_revision(item_id),
             journal_position=state.journal_length(),
             capacity_epoch=state.capacity_epoch,
-            degradation_epoch=state.degradation_epoch,
             hop_intervals={
                 hop.link_id: Interval(hop.start, hop.end)
                 for hop in hops.values()

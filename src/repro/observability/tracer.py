@@ -102,9 +102,6 @@ TREE_CACHE_CUTOFF_TIGHTENED = "cutoff_tightened"
 #: Miss: a new storage reservation breaks a planned residency on a
 #: footprint machine.
 TREE_CACHE_RESIDENCY_CONFLICT = "residency_conflict"
-#: Miss: a bandwidth degradation changed transfer durations globally
-#: (degradation epoch moved — not journalled, not footprint-checkable).
-TREE_CACHE_BANDWIDTH_DEGRADED = "bandwidth_degraded"
 
 #: All event names a materializing tracer may emit — the registry the
 #: ``repro.staticcheck`` R3 rule checks string literals against.  One
@@ -162,7 +159,6 @@ TREE_CACHE_REASONS: Tuple[str, ...] = (
     TREE_CACHE_LINK_CONFLICT,
     TREE_CACHE_CUTOFF_TIGHTENED,
     TREE_CACHE_RESIDENCY_CONFLICT,
-    TREE_CACHE_BANDWIDTH_DEGRADED,
 )
 
 

@@ -1,16 +1,18 @@
 """Property tests pinning the core fast paths to naive references.
 
 The flattened inner loops (``IntervalSet.first_fit``/``span_is_free``,
-``CapacityTimeline.min_free_span``/``next_sufficient_start``) and the
-``__new__``-based ``copy()`` constructors trade clarity for speed; these
-properties pin each of them to a brute-force reference implementation (or
-to the validating slow path they replaced) over randomized inputs, so
-the fast paths cannot silently drift.
+``CapacityTimeline.min_free_span``/``next_sufficient_start``), the
+list-only ``IntervalSet`` representation and the ``__new__``-based
+``copy()`` constructors trade clarity for speed; these properties pin
+each of them to a brute-force reference implementation (or to the
+validating slow path they replaced) over randomized inputs, so the fast
+paths cannot silently drift.
 
 All generated times sit on a half-integer grid: the arithmetic stays
 exact, so strict float comparisons in the references mean what they say.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -41,6 +43,8 @@ def interval_sets(draw):
 
 
 def _naive_span_is_free(members, start, end):
+    if end <= start:
+        return True  # an empty span overlaps nothing
     return all(
         not (member.start < end and start < member.end)
         for member in members
@@ -71,18 +75,18 @@ class TestIntervalSetFastPaths:
         self, busy, start, duration
     ):
         end = start + duration
-        if duration == 0.0:
-            # Empty candidates are handled by is_free, not the float core
-            # (span_is_free's contract assumes a non-empty span).
-            assert busy.is_free(Interval(start, end))
-            return
-        members = busy.intervals()
         assert busy.span_is_free(start, end) == _naive_span_is_free(
-            members, start, end
+            busy.intervals(), start, end
         )
-        assert busy.is_free(Interval(start, end)) == busy.span_is_free(
-            start, end
-        )
+
+    @given(
+        busy=interval_sets(), offset=st.sampled_from([0.0, 0.25, 0.5, 0.75])
+    )
+    def test_empty_span_inside_a_member_is_free(self, busy, offset):
+        for member in busy.intervals():
+            instant = member.start + offset * member.duration
+            assert not busy.span_is_free(instant, member.end)
+            assert busy.span_is_free(instant, instant)
 
     @given(
         busy=interval_sets(),
@@ -102,12 +106,6 @@ class TestIntervalSetFastPaths:
             busy.first_fit(duration, window_start, window_end, earliest)
             == expected
         )
-        assert (
-            busy.earliest_fit(
-                duration, Interval(window_start, window_end), earliest
-            )
-            == expected
-        )
 
     @given(busy=interval_sets())
     def test_copy_equals_revalidating_rebuild(self, busy):
@@ -125,6 +123,28 @@ class TestIntervalSetFastPaths:
         assert busy.intervals() == before
         assert Interval(1000.0, 1001.0) in clone
 
+    @given(busy=interval_sets(), start=_grid, duration=_duration)
+    def test_add_remove_contains_round_trip(self, busy, start, duration):
+        members = busy.intervals()
+        assert list(busy) == list(members)
+        assert len(busy) == len(members)
+        for member in members:
+            assert member in busy
+            # Same start, different end: not a member.
+            assert Interval(member.start, member.end + 0.5) not in busy
+        candidate = Interval(start, start + duration)
+        if duration == 0.0 or not busy.span_is_free(start, start + duration):
+            return
+        assert candidate not in busy
+        busy.add(candidate)
+        assert candidate in busy
+        assert busy.intervals() == tuple(sorted(members + (candidate,)))
+        busy.remove(candidate)
+        assert candidate not in busy
+        assert busy.intervals() == members
+        with pytest.raises(KeyError):
+            busy.remove(candidate)
+
 
 @st.composite
 def reserved_timelines(draw):
@@ -137,7 +157,7 @@ def reserved_timelines(draw):
         start = draw(_grid)
         length = draw(st.integers(min_value=1, max_value=40)) / 2.0
         interval = Interval(start, start + length)
-        if timeline.can_reserve(amount, interval):
+        if timeline.can_reserve_span(amount, interval.start, interval.end):
             timeline.reserve(amount, interval)
             log.append((amount, interval))
     return timeline, log
@@ -165,9 +185,6 @@ class TestTimelineFastPaths:
         end = start + length
         assert timeline.min_free_span(start, end) == _naive_min_free(
             timeline, start, end
-        )
-        assert timeline.min_free(Interval(start, end)) == (
-            timeline.min_free_span(start, end)
         )
 
     @given(

@@ -60,7 +60,7 @@ class TestInterval:
 
 class TestIntervalSet:
     def test_empty_set_is_free_everywhere(self):
-        assert IntervalSet().is_free(Interval(0, 1e9))
+        assert IntervalSet().span_is_free(0, 1e9)
 
     def test_add_and_membership(self):
         busy = IntervalSet()
@@ -91,15 +91,15 @@ class TestIntervalSet:
 
     def test_is_free_checks_all_overlaps(self):
         busy = IntervalSet([Interval(0, 2), Interval(4, 6), Interval(8, 10)])
-        assert busy.is_free(Interval(2, 4))
-        assert busy.is_free(Interval(6, 8))
-        assert not busy.is_free(Interval(3, 5))
-        assert not busy.is_free(Interval(1, 9))
+        assert busy.span_is_free(2, 4)
+        assert busy.span_is_free(6, 8)
+        assert not busy.span_is_free(3, 5)
+        assert not busy.span_is_free(1, 9)
 
     def test_remove(self):
         busy = IntervalSet([Interval(0, 2), Interval(4, 6)])
         busy.remove(Interval(0, 2))
-        assert busy.is_free(Interval(0, 2))
+        assert busy.span_is_free(0, 2)
         with pytest.raises(KeyError):
             busy.remove(Interval(0, 2))
 
@@ -123,49 +123,49 @@ class TestIntervalSet:
 class TestEarliestFit:
     def test_fit_in_empty_set(self):
         busy = IntervalSet()
-        assert busy.earliest_fit(3.0, Interval(0, 10)) == 0.0
+        assert busy.first_fit(3.0, 0, 10) == 0.0
 
     def test_fit_respects_earliest(self):
         busy = IntervalSet()
-        assert busy.earliest_fit(3.0, Interval(0, 10), earliest=4.0) == 4.0
+        assert busy.first_fit(3.0, 0, 10, earliest=4.0) == 4.0
 
     def test_fit_after_busy_prefix(self):
         busy = IntervalSet([Interval(0, 4)])
-        assert busy.earliest_fit(3.0, Interval(0, 10)) == 4.0
+        assert busy.first_fit(3.0, 0, 10) == 4.0
 
     def test_fit_in_gap_between_members(self):
         busy = IntervalSet([Interval(0, 2), Interval(5, 9)])
-        assert busy.earliest_fit(3.0, Interval(0, 20)) == 2.0
-        assert busy.earliest_fit(4.0, Interval(0, 20)) == 9.0
+        assert busy.first_fit(3.0, 0, 20) == 2.0
+        assert busy.first_fit(4.0, 0, 20) == 9.0
 
     def test_fit_too_long_for_window(self):
         busy = IntervalSet()
-        assert busy.earliest_fit(11.0, Interval(0, 10)) is None
+        assert busy.first_fit(11.0, 0, 10) is None
 
     def test_fit_window_fully_busy(self):
         busy = IntervalSet([Interval(0, 10)])
-        assert busy.earliest_fit(1.0, Interval(0, 10)) is None
+        assert busy.first_fit(1.0, 0, 10) is None
 
     def test_fit_exactly_fills_tail(self):
         busy = IntervalSet([Interval(0, 7)])
-        assert busy.earliest_fit(3.0, Interval(0, 10)) == 7.0
+        assert busy.first_fit(3.0, 0, 10) == 7.0
 
     def test_fit_starting_inside_member_moves_to_member_end(self):
         busy = IntervalSet([Interval(2, 6)])
-        assert busy.earliest_fit(1.0, Interval(0, 10), earliest=3.0) == 6.0
+        assert busy.first_fit(1.0, 0, 10, earliest=3.0) == 6.0
 
     def test_fit_zero_duration(self):
         busy = IntervalSet([Interval(0, 10)])
         # Zero-length transfers overlap nothing.
-        assert busy.earliest_fit(0.0, Interval(0, 10)) == 0.0
+        assert busy.first_fit(0.0, 0, 10) == 0.0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            IntervalSet().earliest_fit(-1.0, Interval(0, 10))
+            IntervalSet().first_fit(-1.0, 0, 10)
 
     def test_fit_skips_multiple_members(self):
         busy = IntervalSet(
             [Interval(0, 2), Interval(2.5, 5), Interval(5.5, 8)]
         )
-        assert busy.earliest_fit(1.0, Interval(0, 10)) == 8.0
-        assert busy.earliest_fit(0.5, Interval(0, 10)) == 2.0
+        assert busy.first_fit(1.0, 0, 10) == 8.0
+        assert busy.first_fit(0.5, 0, 10) == 2.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.intervals import Interval
-from repro.core.state import NetworkState, TransferPlan
+from repro.core.state import MUTATION_BOOKING, NetworkState, TransferPlan
 from repro.errors import InfeasibleTransferError
 
 from tests.helpers import (
@@ -295,16 +295,22 @@ class TestBookTransfer:
         scenario = _two_hop_scenario()
         state = NetworkState(scenario)
         link = scenario.network.link(0)
-        assert state.link_revision(0) == 0
-        assert state.machine_revision(1) == 0
         assert state.item_revision(0) == 0
-        state.book_transfer(state.earliest_transfer(0, link, 0.0))
-        assert state.link_revision(0) == 1
-        assert state.machine_revision(1) == 1
+        assert state.journal_length() == 0
+        plan = state.earliest_transfer(0, link, 0.0)
+        state.book_transfer(plan)
         assert state.item_revision(0) == 1
-        # Untouched resources keep their revisions.
-        assert state.link_revision(1) == 0
-        assert state.machine_revision(0) == 0
+        # The booking is journalled with its busy and residency intervals,
+        # which is what cached trees are revalidated against.
+        (record,) = state.journal_since(0)
+        assert record.kind == MUTATION_BOOKING
+        assert record.link_id == 0
+        assert record.machine == 1
+        assert record.busy == Interval(plan.start, plan.end)
+        assert record.residency == Interval(plan.start, plan.release)
+        # A booking removes availability only; it never moves the
+        # capacity epoch.
+        assert state.capacity_epoch == 0
 
     def test_capacity_reserved_until_release(self):
         scenario = _two_hop_scenario(gc_delay=50.0)

@@ -20,8 +20,8 @@ class TestConstruction:
 
     def test_zero_capacity_allowed(self):
         timeline = CapacityTimeline(0.0)
-        assert not timeline.can_reserve(1.0, Interval(0, 1))
-        assert timeline.can_reserve(0.0, Interval(0, 1))
+        assert not timeline.can_reserve_span(1.0, 0, 1)
+        assert timeline.can_reserve_span(0.0, 0, 1)
 
 
 class TestReserve:
@@ -75,30 +75,30 @@ class TestQueries:
         timeline = CapacityTimeline(100.0)
         timeline.reserve(30.0, Interval(10, 20))
         timeline.reserve(60.0, Interval(15, 18))
-        assert timeline.min_free(Interval(0, 30)) == 10.0
-        assert timeline.min_free(Interval(0, 12)) == 70.0
-        assert timeline.min_free(Interval(20, 30)) == 100.0
+        assert timeline.min_free_span(0, 30) == 10.0
+        assert timeline.min_free_span(0, 12) == 70.0
+        assert timeline.min_free_span(20, 30) == 100.0
 
     def test_min_free_half_open_boundary(self):
         timeline = CapacityTimeline(100.0)
         timeline.reserve(30.0, Interval(10, 20))
         # [0, 10) never sees the reservation; [0, 10.5) does.
-        assert timeline.min_free(Interval(0, 10)) == 100.0
-        assert timeline.min_free(Interval(0, 10.5)) == 70.0
+        assert timeline.min_free_span(0, 10) == 100.0
+        assert timeline.min_free_span(0, 10.5) == 70.0
         # [20, 25) starts exactly when the reservation ends.
-        assert timeline.min_free(Interval(20, 25)) == 100.0
+        assert timeline.min_free_span(20, 25) == 100.0
 
     def test_min_free_empty_interval(self):
         timeline = CapacityTimeline(100.0)
         timeline.reserve(100.0, Interval(0, 10))
-        assert timeline.min_free(Interval(5, 5)) == 100.0
+        assert timeline.min_free_span(5, 5) == 100.0
 
     def test_can_reserve(self):
         timeline = CapacityTimeline(100.0)
         timeline.reserve(70.0, Interval(0, 10))
-        assert timeline.can_reserve(30.0, Interval(0, 10))
-        assert not timeline.can_reserve(31.0, Interval(0, 10))
-        assert timeline.can_reserve(100.0, Interval(10, 20))
+        assert timeline.can_reserve_span(30.0, 0, 10)
+        assert not timeline.can_reserve_span(31.0, 0, 10)
+        assert timeline.can_reserve_span(100.0, 10, 20)
 
 
 class TestRelease:
@@ -106,7 +106,7 @@ class TestRelease:
         timeline = CapacityTimeline(100.0)
         timeline.reserve(40.0, Interval(0, 10))
         timeline.release(40.0, Interval(0, 10))
-        assert timeline.min_free(Interval(0, 10)) == 100.0
+        assert timeline.min_free_span(0, 10) == 100.0
 
     def test_unmatched_release_rejected(self):
         timeline = CapacityTimeline(100.0)

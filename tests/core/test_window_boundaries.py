@@ -24,62 +24,62 @@ WINDOW = Interval(LST, LET)
 class TestEarliestFitAtWindowEdges:
     def test_fit_filling_the_whole_window_starts_at_lst(self):
         free = IntervalSet()
-        start = free.earliest_fit(LET - LST, WINDOW)
+        start = free.first_fit(LET - LST, LST, LET)
         assert start is not None and time_eq(start, LST)
 
     def test_fit_ending_exactly_at_let_is_allowed(self):
         free = IntervalSet()
-        start = free.earliest_fit(4.0, WINDOW, earliest=LET - 4.0)
+        start = free.first_fit(4.0, LST, LET, earliest=LET - 4.0)
         assert start is not None and time_eq(start, LET - 4.0)
 
     def test_fit_overrunning_let_by_epsilon_is_rejected(self):
         free = IntervalSet()
-        assert free.earliest_fit((LET - LST) + 1e-6, WINDOW) is None
+        assert free.first_fit((LET - LST) + 1e-6, LST, LET) is None
 
     def test_zero_duration_booking_at_let_is_rejected(self):
         # A zero-length transfer occupies no bandwidth-time, but its
         # start must still be a member of the half-open window: Let
         # itself lies outside [Lst, Let), exactly like Interval.contains.
         free = IntervalSet()
-        assert free.earliest_fit(0.0, WINDOW, earliest=LET) is None
+        assert free.first_fit(0.0, LST, LET, earliest=LET) is None
 
     def test_zero_duration_booking_just_inside_let_is_allowed(self):
         free = IntervalSet()
-        start = free.earliest_fit(0.0, WINDOW, earliest=LET - 1e-6)
+        start = free.first_fit(0.0, LST, LET, earliest=LET - 1e-6)
         assert start is not None and time_eq(start, LET - 1e-6)
 
     def test_zero_duration_booking_at_lst_is_allowed(self):
         free = IntervalSet()
-        start = free.earliest_fit(0.0, WINDOW)
+        start = free.first_fit(0.0, LST, LET)
         assert start is not None and time_eq(start, LST)
 
     def test_zero_duration_booking_in_empty_window_is_rejected(self):
         # An empty window [t, t) contains no instants at all.
         free = IntervalSet()
-        assert free.earliest_fit(0.0, Interval(LST, LST)) is None
+        assert free.first_fit(0.0, LST, LST) is None
 
     def test_zero_duration_booking_past_let_is_rejected(self):
         free = IntervalSet()
-        assert free.earliest_fit(0.0, WINDOW, earliest=LET + 1.0) is None
+        assert free.first_fit(0.0, LST, LET, earliest=LET + 1.0) is None
 
     def test_member_ending_at_lst_does_not_block_the_window(self):
         # A booking in an *earlier* window that touches Lst exactly:
         # half-open intervals mean [0, Lst) and [Lst, ...) are disjoint.
         free = IntervalSet()
         free.add(Interval(0.0, LST))
-        start = free.earliest_fit(5.0, WINDOW)
+        start = free.first_fit(5.0, LST, LET)
         assert start is not None and time_eq(start, LST)
 
     def test_member_starting_at_let_does_not_shrink_the_window(self):
         free = IntervalSet()
         free.add(Interval(LET, LET + 5.0))
-        start = free.earliest_fit(LET - LST, WINDOW)
+        start = free.first_fit(LET - LST, LST, LET)
         assert start is not None and time_eq(start, LST)
 
     def test_cursor_inside_member_slides_to_member_end(self):
         free = IntervalSet()
         free.add(Interval(LST, LST + 2.0))
-        start = free.earliest_fit(3.0, WINDOW)
+        start = free.first_fit(3.0, LST, LET)
         assert start is not None and times_close(start, LST + 2.0)
 
 

@@ -115,11 +115,11 @@ class TestCopyLossBoundaries:
     ):
         state = staged_state
         copy = state.copy_at(0, 1)
-        machine_rev = state.machine_revision(1)
+        capacity_epoch = state.capacity_epoch
         item_rev = state.item_revision(0)
         state.remove_copy(0, 1, copy.available_from)
         assert not state.holds(0, 1)
-        assert state.machine_revision(1) == machine_rev + 1
+        assert state.capacity_epoch == capacity_epoch + 1
         assert state.item_revision(0) == item_rev + 1
 
     def test_removal_at_exact_release_instant_is_rejected(self, staged_state):

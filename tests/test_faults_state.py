@@ -70,7 +70,49 @@ class TestCapacityMasking:
                 if link.link_id in degraded
                 else link.bandwidth
             )
-            assert state.effective_bandwidth(link.link_id) == expected
+            assert state.effective_bandwidths()[link.link_id] == expected
+
+
+class TestEffectiveBandwidths:
+    def test_repeated_reads_return_the_same_list(self):
+        state = NetworkState(single_item_line_scenario())
+        assert state.effective_bandwidths() is state.effective_bandwidths()
+
+    def test_construction_faults_are_visible_without_degrading(self):
+        scenario = single_item_line_scenario()
+        plan = FaultPlan(degradations=(BandwidthDegradation(0, 0.25),))
+        state = NetworkState(scenario, faults=plan)
+        values = state.effective_bandwidths()
+        for link in scenario.network.virtual_links:
+            expected = link.bandwidth * (
+                0.25 if link.physical_id == 0 else 1.0
+            )
+            assert values[link.link_id] == expected
+
+    def test_clone_shares_the_degraded_list(self):
+        scenario = single_item_line_scenario()
+        plan = FaultPlan(degradations=(BandwidthDegradation(0, 0.25),))
+        state = NetworkState(scenario, faults=plan)
+        clone = state.clone()
+        assert clone.effective_bandwidths() is state.effective_bandwidths()
+        assert clone.effective_bandwidths()[0] == (
+            scenario.network.link(0).bandwidth * 0.25
+        )
+
+    def test_construction_degradation_doubles_planned_duration(self):
+        scenario = single_item_line_scenario()
+        link = scenario.network.link(0)
+        healthy = NetworkState(scenario).earliest_transfer(
+            0, link, sender_ready=0.0
+        )
+        plan = FaultPlan(degradations=(BandwidthDegradation(0, 0.5),))
+        degraded = NetworkState(scenario, faults=plan).earliest_transfer(
+            0, link, sender_ready=0.0
+        )
+        assert healthy is not None and degraded is not None
+        assert (degraded.end - degraded.start) == 2 * (
+            healthy.end - healthy.start
+        )
 
 
 class TestAmbientCapture:

@@ -34,7 +34,7 @@ def test_interval_set_members_stay_disjoint(candidates):
     busy = IntervalSet()
     accepted = []
     for interval in candidates:
-        if busy.is_free(interval):
+        if busy.span_is_free(interval.start, interval.end):
             busy.add(interval)
             accepted.append(interval)
     members = busy.intervals()
@@ -52,24 +52,24 @@ def test_interval_set_members_stay_disjoint(candidates):
 def test_earliest_fit_matches_brute_force(candidates, duration, earliest):
     busy = IntervalSet()
     for interval in candidates:
-        if busy.is_free(interval):
+        if busy.span_is_free(interval.start, interval.end):
             busy.add(interval)
     window = Interval(0.0, 80.0)
-    result = busy.earliest_fit(
-        float(duration), window, earliest=float(earliest)
+    result = busy.first_fit(
+        float(duration), window.start, window.end, earliest=float(earliest)
     )
     # Brute force over half-integer start times (all boundaries are
     # integers, so the optimum is integral).
     brute = None
     start = max(0.0, float(earliest))
     while start + duration <= window.end:
-        if busy.is_free(Interval(start, start + duration)):
+        if busy.span_is_free(start, start + duration):
             brute = start
             break
         start += 0.5
     assert result == brute
     if result is not None:
-        assert busy.is_free(Interval(result, result + duration))
+        assert busy.span_is_free(result, result + duration)
         assert result >= earliest
 
 
@@ -91,7 +91,9 @@ def test_timeline_matches_pointwise_reference(reservations):
     accepted = []
     for start, length, amount in reservations:
         interval = Interval(float(start), float(start + length))
-        if timeline.can_reserve(float(amount), interval):
+        if timeline.can_reserve_span(
+            float(amount), interval.start, interval.end
+        ):
             timeline.reserve(float(amount), interval)
             accepted.append((interval, float(amount)))
     for t in range(0, 45):
@@ -110,11 +112,13 @@ def test_timeline_min_free_is_pointwise_minimum(reservations):
     timeline = CapacityTimeline(100.0)
     for start, length, amount in reservations:
         interval = Interval(float(start), float(start + length))
-        if timeline.can_reserve(float(amount), interval):
+        if timeline.can_reserve_span(
+            float(amount), interval.start, interval.end
+        ):
             timeline.reserve(float(amount), interval)
     probe = Interval(5.0, 25.0)
     probes = [5.0 + k * 0.5 for k in range(40)]
-    assert timeline.min_free(probe) == min(
+    assert timeline.min_free_span(probe.start, probe.end) == min(
         timeline.free_at(t) for t in probes
     )
 
