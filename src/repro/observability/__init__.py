@@ -47,7 +47,6 @@ from repro.observability.profiling import (
     PHASE_NAMES,
     PHASE_SCENARIO_GENERATION,
     PHASE_SCORING,
-    PHASE_SERIALIZATION,
     PHASE_TREE,
     PROFILE_SCHEMA_VERSION,
     Hotspot,
@@ -107,7 +106,6 @@ __all__ = [
     "PHASE_NAMES",
     "PHASE_SCENARIO_GENERATION",
     "PHASE_SCORING",
-    "PHASE_SERIALIZATION",
     "PHASE_TREE",
     "PROFILE_SCHEMA_VERSION",
     "Hotspot",

@@ -209,11 +209,12 @@ class TestProfileCodec:
 
 
 class TestInstrumentedLibrary:
-    def test_a_real_run_produces_the_expected_phase_paths(self):
+    @pytest.mark.parametrize("heuristic", ["partial", "full_one", "full_all"])
+    def test_a_real_run_produces_the_expected_phase_paths(self, heuristic):
         collector = ProfileCollector()
         with use_tracer(collector):
             scenario = ScenarioGenerator(GeneratorConfig.tiny()).generate(3)
-            make_heuristic("partial", criterion="C4").run(scenario)
+            make_heuristic(heuristic, criterion="C4").run(scenario)
         profile = collector.finalize()
         for path in (
             "scenario_generation",
@@ -223,6 +224,7 @@ class TestInstrumentedLibrary:
             "scoring",
         ):
             assert profile.stat(path).count > 0, path
+        assert profile.hotspots()
         # Dijkstra nests under tree: every search happened inside a
         # recompute, so no flat "dijkstra" path exists.
         assert "dijkstra" not in profile.spans

@@ -1,6 +1,6 @@
 """Golden-output tests for the plain-text renderers.
 
-The renderers feed CI logs and bench documents; accidental format drift
+The renderers feed CLI output and CI logs; accidental format drift
 breaks downstream grep/diff workflows.  Each test renders a hand-built,
 fully deterministic aggregate and compares byte-for-byte against a
 committed golden file.  To regenerate after an *intentional* format

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+import repro.cli
+from repro.cli import _COMMANDS, main
 from repro.serialization import load_scenario
 
 
@@ -320,6 +321,16 @@ class TestReport:
         ) == 0
         assert output.exists()
         assert "Recorded results" in output.read_text()
+
+
+class TestModuleDocstring:
+    def test_lists_every_subcommand(self):
+        missing = [
+            name
+            for name in _COMMANDS
+            if f"``{name}``" not in (repro.cli.__doc__ or "")
+        ]
+        assert missing == []
 
 
 class TestErrors:
