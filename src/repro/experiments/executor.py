@@ -90,7 +90,9 @@ logger = logging.getLogger(__name__)
 #: the ``bandwidth_degraded`` cache reason.
 #: Version 8: embedded metrics moved to metrics schema 3 (no
 #: compiled-kernel counter).
-CACHE_FORMAT_VERSION = 8
+#: Version 9: embedded metrics moved to metrics schema 4 (probe counters
+#: renamed).
+CACHE_FORMAT_VERSION = 9
 
 #: The cell kinds an executor knows how to run.
 CELL_KINDS = ("pair", "tier")

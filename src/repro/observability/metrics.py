@@ -26,12 +26,14 @@ from repro.observability.tracer import Tracer, _inherit_hook_docs
 #: codes from :data:`repro.observability.tracer.TREE_CACHE_REASONS`).
 #: Version 3: drops the compiled-kernel search counter (the kernel is
 #: gone; ``dijkstra_searches`` counts every search).
-METRICS_SCHEMA_VERSION = 3
+#: Version 4: ``booking_attempts``/``booking_rejections`` renamed
+#: ``probe_attempts``/``probe_rejections`` (they count feasibility probes).
+METRICS_SCHEMA_VERSION = 4
 
 #: Counter keys every RunMetrics carries (missing keys default to 0).
 COUNTER_KEYS: Tuple[str, ...] = (
-    "booking_attempts",
-    "booking_rejections",
+    "probe_attempts",
+    "probe_rejections",
     "bookings",
     "booking_failures",
     "copies_removed",
@@ -236,13 +238,13 @@ class MetricsCollector(Tracer):
     # -- booking ----------------------------------------------------------
 
     def on_transfer_attempt(self, item_id: int, link_id: int) -> None:
-        self._metrics.bump("booking_attempts")
+        self._metrics.bump("probe_attempts")
 
     def on_transfer_rejected(
         self, item_id: int, link_id: int, reason: str
     ) -> None:
         metrics = self._metrics
-        metrics.bump("booking_rejections")
+        metrics.bump("probe_rejections")
         metrics.rejection_reasons[reason] = (
             metrics.rejection_reasons.get(reason, 0) + 1
         )

@@ -84,8 +84,8 @@ def render_scheduler_summaries(
     rows = []
     for label in sorted(by_scheduler):
         metrics = by_scheduler[label]
-        attempts = metrics.counter("booking_attempts")
-        rejections = metrics.counter("booking_rejections")
+        attempts = metrics.counter("probe_attempts")
+        rejections = metrics.counter("probe_rejections")
         hits = metrics.counter("tree_cache_hits")
         misses = metrics.counter("tree_cache_misses")
         rows.append(

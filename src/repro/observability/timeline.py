@@ -118,6 +118,15 @@ def _merge_tallies(a: Mapping[str, int], b: Mapping[str, int]) -> Dict[str, int]
     return merged
 
 
+def _merge_keyed(mine: Mapping[Any, Any], theirs: Mapping[Any, Any]) -> Dict[Any, Any]:
+    """Key-wise ``merged`` of two series maps (a key on one side is kept)."""
+    merged = dict(mine)
+    for key, series in theirs.items():
+        held = merged.get(key)
+        merged[key] = series if held is None else held.merged(series)
+    return merged
+
+
 @dataclass
 class LinkSeries:
     """One virtual link's simulated-time activity.
@@ -487,35 +496,13 @@ class Timeline:
 
     def merged(self, other: "Timeline") -> "Timeline":
         """The element-wise combination of two timelines (associative)."""
-        links = dict(self.links)
-        for link_id, series in other.links.items():
-            mine = links.get(link_id)
-            links[link_id] = series if mine is None else mine.merged(series)
-        storage = dict(self.storage)
-        for machine, series in other.storage.items():
-            held = storage.get(machine)
-            storage[machine] = (
-                series if held is None else held.merged(series)
-            )
-        classes = dict(self.classes)
-        for priority, series in other.classes.items():
-            mine_cls = classes.get(priority)
-            classes[priority] = (
-                series if mine_cls is None else mine_cls.merged(series)
-            )
-        forensics = dict(self.forensics)
-        for key, ledger in other.forensics.items():
-            mine_led = forensics.get(key)
-            forensics[key] = (
-                ledger if mine_led is None else mine_led.merged(ledger)
-            )
         return Timeline(
             horizon=max(self.horizon, other.horizon),
             runs=self.runs + other.runs,
-            links=links,
-            storage=storage,
-            classes=classes,
-            forensics=forensics,
+            links=_merge_keyed(self.links, other.links),
+            storage=_merge_keyed(self.storage, other.storage),
+            classes=_merge_keyed(self.classes, other.classes),
+            forensics=_merge_keyed(self.forensics, other.forensics),
         )
 
     # -- derived series ----------------------------------------------------
@@ -891,6 +878,53 @@ def merge_timelines(parts: Iterable[Optional[Timeline]]) -> Timeline:
     return total
 
 
+class _ItemTally:
+    """One requested item's cumulative tallies and event count.
+
+    The item-event hooks count every event in ``events`` and build and
+    log its chain entry (keyed by position) only below ``log_limit``, the
+    largest ``start + room`` of an open span.  ``spans`` maps each pending
+    request to the snapshot its span opened with:
+    ``(ledger, start, limit, attempts, bookings, rejections)``.
+    """
+
+    __slots__ = ("events", "attempts", "bookings", "rejections", "log",
+                 "log_limit", "spans")
+
+    def __init__(self) -> None:
+        self.events = self.attempts = self.bookings = self.log_limit = 0
+        self.rejections: Dict[str, int] = {}
+        self.log: Dict[int, ChainEvent] = {}
+        self.spans: Dict[int, Tuple[Any, ...]] = {}
+
+    def open(self, request_id: int, ledger: RequestForensics) -> None:
+        """Start attributing the item's events to a pending request."""
+        limit = self.events + MAX_CHAIN_EVENTS - len(ledger.chain)
+        self.spans[request_id] = (ledger, self.events, limit, self.attempts,
+                                  self.bookings, dict(self.rejections))
+        if limit > self.log_limit:
+            self.log_limit = limit
+
+    def flush(self, request_id: int) -> None:
+        """Close a request's open span, charging its ledger the item's
+        events since the span opened (exactly what the eager fan-out
+        would have noted one by one)."""
+        (ledger, start, limit, attempts, bookings,
+         rejections) = self.spans.pop(request_id)
+        ledger.attempts += self.attempts - attempts
+        ledger.bookings += self.bookings - bookings
+        for reason, count in self.rejections.items():
+            delta = count - rejections.get(reason, 0)
+            if delta > 0:
+                ledger.rejections[reason] = ledger.rejections.get(reason, 0) + delta
+        end = min(self.events, limit)
+        ledger.chain.extend(self.log[position] for position in range(start, end))
+        ledger.chain_dropped += self.events - end
+        self.log_limit = max((span[2] for span in self.spans.values()), default=0)
+        if not self.spans:
+            self.log.clear()
+
+
 @_inherit_hook_docs
 class TimelineCollector(Tracer):
     """A tracer folding one run's trace stream into a :class:`Timeline`.
@@ -900,6 +934,11 @@ class TimelineCollector(Tracer):
     document, and the request table drives the forensics attribution —
     item-level events are credited to every request of that item still
     pending when the event fires.
+
+    The credit is deferred, so a probe costs O(1) however many requests
+    wait for its item: each item keeps cumulative tallies, each pending
+    request the snapshot taken when its span opened, and a lifecycle
+    hook (or :meth:`finalize`) flushes the difference into the ledger.
 
     One collector observes one scheduler run on one scenario (the
     executor builds one per sweep cell); reuse across runs would
@@ -916,16 +955,15 @@ class TimelineCollector(Tracer):
             timeline.storage[machine.index] = StorageSeries(
                 capacity=machine.capacity
             )
-        pending: Dict[int, List[int]] = {}
-        keys: Dict[int, str] = {}
+        items: Dict[int, _ItemTally] = {}
+        ledgers: Dict[int, RequestForensics] = {}
         for request in scenario.requests:
             series = timeline.classes.get(request.priority)
             if series is None:
                 series = ClassSeries()
                 timeline.classes[request.priority] = series
             series.requests += 1
-            key = _forensics_key(scenario.name, request.request_id)
-            timeline.forensics[key] = RequestForensics(
+            ledger = RequestForensics(
                 scenario=scenario.name,
                 request_id=request.request_id,
                 item_id=request.item_id,
@@ -933,52 +971,54 @@ class TimelineCollector(Tracer):
                 priority=request.priority,
                 deadline=request.deadline,
             )
-            pending.setdefault(request.item_id, []).append(
-                request.request_id
+            key = _forensics_key(scenario.name, request.request_id)
+            timeline.forensics[key] = ledger
+            ledgers[request.request_id] = ledger
+            items.setdefault(request.item_id, _ItemTally()).open(
+                request.request_id, ledger
             )
-            keys[request.request_id] = key
-        for request_ids in pending.values():
-            request_ids.sort()
         self._timeline = timeline
-        self._scenario = scenario
-        self._pending = pending
-        self._keys = keys
+        self._links = timeline.links
+        self._items = items
+        self._ledgers = ledgers
 
-    def _pending_ledgers(self, item_id: int) -> List[RequestForensics]:
-        return [
-            self._timeline.forensics[self._keys[request_id]]
-            for request_id in self._pending.get(item_id, [])
-        ]
-
-    def _ledger(self, request_id: int) -> Optional[RequestForensics]:
-        key = self._keys.get(request_id)
-        if key is None:
-            return None
-        return self._timeline.forensics[key]
+    def _settle(self, request_id: int) -> Optional[RequestForensics]:
+        """Flush the request's open span, if any; ``None`` for an id
+        outside the scenario."""
+        ledger = self._ledgers.get(request_id)
+        if ledger is not None:
+            item = self._items[ledger.item_id]
+            if request_id in item.spans:
+                item.flush(request_id)
+        return ledger
 
     # -- booking ----------------------------------------------------------
 
     def on_transfer_attempt(self, item_id: int, link_id: int) -> None:
-        series = self._timeline.links.get(link_id)
+        series = self._links.get(link_id)
         if series is not None:
             series.attempts += 1
-        for ledger in self._pending_ledgers(item_id):
-            ledger.attempts += 1
-            ledger.note_chain(("attempt", link_id))
+        item = self._items.get(item_id)
+        if item is not None:
+            item.attempts += 1
+            if item.events < item.log_limit:
+                item.log[item.events] = ("attempt", link_id)
+            item.events += 1
 
     def on_transfer_rejected(
         self, item_id: int, link_id: int, reason: str
     ) -> None:
-        series = self._timeline.links.get(link_id)
+        series = self._links.get(link_id)
         if series is not None:
             series.rejections[reason] = (
                 series.rejections.get(reason, 0) + 1
             )
-        for ledger in self._pending_ledgers(item_id):
-            ledger.rejections[reason] = (
-                ledger.rejections.get(reason, 0) + 1
-            )
-            ledger.note_chain(("rejected", link_id, reason))
+        item = self._items.get(item_id)
+        if item is not None:
+            item.rejections[reason] = item.rejections.get(reason, 0) + 1
+            if item.events < item.log_limit:
+                item.log[item.events] = ("rejected", link_id, reason)
+            item.events += 1
 
     def on_transfer_booked(
         self,
@@ -988,26 +1028,30 @@ class TimelineCollector(Tracer):
         end: float,
         window_seconds: float,
     ) -> None:
-        series = self._timeline.links.get(link_id)
+        series = self._links.get(link_id)
         if series is not None:
             series.bookings.append((start, end, item_id))
-        for ledger in self._pending_ledgers(item_id):
-            ledger.bookings += 1
-            ledger.note_chain(("booked", link_id, start, end))
+        item = self._items.get(item_id)
+        if item is not None:
+            item.bookings += 1
+            if item.events < item.log_limit:
+                item.log[item.events] = ("booked", link_id, start, end)
+            item.events += 1
 
     def on_booking_failed(
         self, item_id: int, link_id: int, reason: str
     ) -> None:
-        series = self._timeline.links.get(link_id)
+        series = self._links.get(link_id)
         if series is not None:
             series.rejections[reason] = (
                 series.rejections.get(reason, 0) + 1
             )
-        for ledger in self._pending_ledgers(item_id):
-            ledger.rejections[reason] = (
-                ledger.rejections.get(reason, 0) + 1
-            )
-            ledger.note_chain(("booking_failed", link_id, reason))
+        item = self._items.get(item_id)
+        if item is not None:
+            item.rejections[reason] = item.rejections.get(reason, 0) + 1
+            if item.events < item.log_limit:
+                item.log[item.events] = ("booking_failed", link_id, reason)
+            item.events += 1
 
     # -- storage -----------------------------------------------------------
 
@@ -1023,7 +1067,7 @@ class TimelineCollector(Tracer):
     def on_request_satisfied(
         self, request_id: int, at_time: float, hops: int
     ) -> None:
-        ledger = self._ledger(request_id)
+        ledger = self._settle(request_id)
         if ledger is None:
             return
         ledger.satisfied += 1
@@ -1034,10 +1078,9 @@ class TimelineCollector(Tracer):
         series.satisfied += 1
         series.slack.append((at_time, slack))
         series.drains.append(at_time)
-        self._drop_pending(ledger.item_id, request_id)
 
     def on_request_cancelled(self, request_id: int, at_time: float) -> None:
-        ledger = self._ledger(request_id)
+        ledger = self._settle(request_id)
         if ledger is None:
             return
         ledger.cancelled += 1
@@ -1045,45 +1088,35 @@ class TimelineCollector(Tracer):
         series = self._timeline.classes[ledger.priority]
         series.cancelled += 1
         series.drains.append(at_time)
-        self._drop_pending(ledger.item_id, request_id)
 
     def on_request_reopened(self, request_id: int) -> None:
-        ledger = self._ledger(request_id)
+        ledger = self._settle(request_id)
         if ledger is None:
             return
         ledger.reopened += 1
         ledger.note_chain(("reopened",))
         self._timeline.classes[ledger.priority].reopened += 1
-        waiting = self._pending.setdefault(ledger.item_id, [])
-        if request_id not in waiting:
-            waiting.append(request_id)
-            waiting.sort()
-
-    def _drop_pending(self, item_id: int, request_id: int) -> None:
-        waiting = self._pending.get(item_id)
-        if waiting is not None and request_id in waiting:
-            waiting.remove(request_id)
+        self._items[ledger.item_id].open(request_id, ledger)
 
     def finalize(self) -> Timeline:
-        """The collected timeline document."""
+        """The collected timeline document.  Flushes every open span and
+        re-opens it here, so later events and calls extend the ledgers."""
+        for item in self._items.values():
+            pending = list(item.spans.items())
+            for request_id, _ in pending:
+                item.flush(request_id)
+            for request_id, span in pending:
+                item.open(request_id, span[0])
         return self._timeline
 
 
 # -- document validation -----------------------------------------------------
 
-def _check_int(document: Mapping[str, Any], key: str, context: str) -> None:
-    value = document.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ModelError(
-            f"timeline document {context}.{key} has invalid value {value!r}"
-        )
-
-
-def _check_number(
-    document: Mapping[str, Any], key: str, context: str
+def _check_scalar(
+    document: Mapping[str, Any], key: str, context: str, kinds: Any = int
 ) -> None:
     value = document.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not isinstance(value, kinds) or isinstance(value, bool):
         raise ModelError(
             f"timeline document {context}.{key} has invalid value {value!r}"
         )
@@ -1129,8 +1162,8 @@ def validate_timeline_document(document: Mapping[str, Any]) -> None:
             f"{document.get('schema_version')!r} "
             f"(expected {TIMELINE_SCHEMA_VERSION})"
         )
-    _check_number(document, "horizon", "timeline")
-    _check_int(document, "runs", "timeline")
+    _check_scalar(document, "horizon", "timeline", (int, float))
+    _check_scalar(document, "runs", "timeline")
     for key in ("links", "storage", "classes", "forensics"):
         mapping = document.get(key)
         if not isinstance(mapping, Mapping):
@@ -1139,9 +1172,9 @@ def validate_timeline_document(document: Mapping[str, Any]) -> None:
             )
     for link_id, series in document["links"].items():
         context = f"links[{link_id}]"
-        _check_number(series, "window_start", context)
-        _check_number(series, "window_end", context)
-        _check_int(series, "attempts", context)
+        _check_scalar(series, "window_start", context, (int, float))
+        _check_scalar(series, "window_end", context, (int, float))
+        _check_scalar(series, "attempts", context)
         if not isinstance(series.get("rejections"), Mapping):
             raise ModelError(
                 f"timeline document {context}.rejections must be a mapping"
@@ -1149,12 +1182,12 @@ def validate_timeline_document(document: Mapping[str, Any]) -> None:
         _check_rows(series, "bookings", context, 3)
     for machine, series in document["storage"].items():
         context = f"storage[{machine}]"
-        _check_number(series, "capacity", context)
+        _check_scalar(series, "capacity", context, (int, float))
         _check_rows(series, "reservations", context, 4)
     for priority, series in document["classes"].items():
         context = f"classes[{priority}]"
         for key in ("requests", "satisfied", "cancelled", "reopened"):
-            _check_int(series, key, context)
+            _check_scalar(series, key, context)
         _check_rows(series, "slack", context, 2)
         if not isinstance(series.get("drains"), list):
             raise ModelError(
@@ -1179,8 +1212,8 @@ def validate_timeline_document(document: Mapping[str, Any]) -> None:
             "bookings",
             "chain_dropped",
         ):
-            _check_int(ledger, int_key, context)
-        _check_number(ledger, "deadline", context)
+            _check_scalar(ledger, int_key, context)
+        _check_scalar(ledger, "deadline", context, (int, float))
         if not isinstance(ledger.get("rejections"), Mapping):
             raise ModelError(
                 f"timeline document {context}.rejections must be a mapping"

@@ -322,6 +322,12 @@ class Tracer:
         """
 
 
+#: Every hook of the :class:`Tracer` protocol, in declaration order.
+HOOK_NAMES: Tuple[str, ...] = tuple(
+    name for name in vars(Tracer) if name.startswith("on_")
+)
+
+
 def _inherit_hook_docs(cls: type) -> type:
     """Copy hook docstrings from :class:`Tracer` onto bare overrides.
 
@@ -654,20 +660,24 @@ class JsonlTracer(_EventTracer):
         self.close()
 
 
-@_inherit_hook_docs
 @dataclass
 class TeeTracer(Tracer):
     """Fans every event out to several child tracers.
 
     Disabled children are skipped; the tee itself reports ``enabled``
     as "any child enabled" so event sites short-circuit when all
-    children are off.
+    children are off.  Each child's hooks are bound once, when the tee
+    is built.
     """
 
     children: Sequence[Tracer] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         self.children = tuple(self.children)
+        self._bound = {
+            name: tuple((child, getattr(child, name)) for child in self.children)
+            for name in HOOK_NAMES
+        }
 
     @property  # type: ignore[override]
     def enabled(self) -> bool:
@@ -678,72 +688,24 @@ class TeeTracer(Tracer):
         when every child is a :class:`NullTracer` the tee reports
         disabled and event sites allocate nothing.
         """
-        return any(child.enabled for child in self.children)
-
-    def _fan_out(self, method: str, *args: Any) -> None:
         for child in self.children:
             if child.enabled:
-                getattr(child, method)(*args)
+                return True
+        return False
 
-    def on_transfer_attempt(self, *args: Any) -> None:
-        self._fan_out("on_transfer_attempt", *args)
 
-    def on_transfer_rejected(self, *args: Any) -> None:
-        self._fan_out("on_transfer_rejected", *args)
+def _fan_out(name: str) -> Any:
+    def hook(self: TeeTracer, *args: Any) -> None:
+        for child, method in self._bound[name]:
+            if child.enabled:
+                method(*args)
 
-    def on_transfer_booked(self, *args: Any) -> None:
-        self._fan_out("on_transfer_booked", *args)
+    hook.__name__ = name
+    hook.__doc__ = getattr(Tracer, name).__doc__
+    return hook
 
-    def on_booking_failed(self, *args: Any) -> None:
-        self._fan_out("on_booking_failed", *args)
 
-    def on_copy_removed(self, *args: Any) -> None:
-        self._fan_out("on_copy_removed", *args)
-
-    def on_request_reopened(self, *args: Any) -> None:
-        self._fan_out("on_request_reopened", *args)
-
-    def on_link_disabled(self, *args: Any) -> None:
-        self._fan_out("on_link_disabled", *args)
-
-    def on_dijkstra(self, *args: Any) -> None:
-        self._fan_out("on_dijkstra", *args)
-
-    def on_tree_cache(self, *args: Any) -> None:
-        self._fan_out("on_tree_cache", *args)
-
-    def on_item_scored(self, *args: Any) -> None:
-        self._fan_out("on_item_scored", *args)
-
-    def on_decision(self, *args: Any) -> None:
-        self._fan_out("on_decision", *args)
-
-    def on_run_end(self, *args: Any) -> None:
-        self._fan_out("on_run_end", *args)
-
-    def on_cell(self, *args: Any) -> None:
-        self._fan_out("on_cell", *args)
-
-    def on_span_start(self, *args: Any) -> None:
-        self._fan_out("on_span_start", *args)
-
-    def on_span_end(self, *args: Any) -> None:
-        self._fan_out("on_span_end", *args)
-
-    def on_faults_applied(self, *args: Any) -> None:
-        self._fan_out("on_faults_applied", *args)
-
-    def on_request_cancelled(self, *args: Any) -> None:
-        self._fan_out("on_request_cancelled", *args)
-
-    def on_cell_retry(self, *args: Any) -> None:
-        self._fan_out("on_cell_retry", *args)
-
-    def on_cache_quarantined(self, *args: Any) -> None:
-        self._fan_out("on_cache_quarantined", *args)
-
-    def on_request_satisfied(self, *args: Any) -> None:
-        self._fan_out("on_request_satisfied", *args)
-
-    def on_storage_reserved(self, *args: Any) -> None:
-        self._fan_out("on_storage_reserved", *args)
+# Class attributes, not per-instance ones, so a hook wrapped on the class
+# (a profiler's or a test's) sees every fan-out.
+for _name in HOOK_NAMES:
+    setattr(TeeTracer, _name, _fan_out(_name))

@@ -107,8 +107,8 @@ class TestCollectorOnRealRun:
         metrics = collector.finalize()
         assert metrics.counter("runs") == 1
         assert metrics.counter("bookings") == result.schedule.step_count
-        assert metrics.counter("booking_attempts") > 0
-        assert metrics.counter("booking_rejections") > 0
+        assert metrics.counter("probe_attempts") > 0
+        assert metrics.counter("probe_rejections") > 0
         assert metrics.counter("dijkstra_searches") == (
             result.stats.dijkstra_runs
         )
@@ -118,7 +118,7 @@ class TestCollectorOnRealRun:
         assert metrics.decision_seconds.count == result.stats.iterations
         assert set(metrics.rejection_reasons) <= set(REASON_CODES)
         assert sum(metrics.rejection_reasons.values()) == (
-            metrics.counter("booking_rejections")
+            metrics.counter("probe_rejections")
             + metrics.counter("booking_failures")
         )
         assert metrics.workers == (os.getpid(),)
@@ -185,9 +185,10 @@ class TestValidation:
             validate_metrics_document(document)
 
     def test_rejects_unsupported_schema_version(self):
-        # A future version, and schema 2 (which still carried the removed
-        # compiled-kernel counter).
-        for version in (METRICS_SCHEMA_VERSION + 1, 2):
+        # A future version, schema 2 (which still carried the removed
+        # compiled-kernel counter) and schema 3 (the old probe counter
+        # names).
+        for version in (METRICS_SCHEMA_VERSION + 1, 2, 3):
             document = self._valid()
             document["schema_version"] = version
             with pytest.raises(ModelError):

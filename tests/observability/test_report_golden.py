@@ -49,8 +49,8 @@ def sample_metrics() -> RunMetrics:
         counters={
             "runs": 3,
             "bookings": 42,
-            "booking_attempts": 60,
-            "booking_rejections": 18,
+            "probe_attempts": 60,
+            "probe_rejections": 18,
             "tree_cache_hits": 55,
             "tree_cache_misses": 5,
         },

@@ -309,6 +309,33 @@ class TestTeeTracer:
         child.enabled = False
         assert not tee.enabled
 
+    def test_child_toggled_after_construction_skips_then_resumes(self):
+        # The tee binds each child's hooks once, when it is built; the
+        # child's `enabled` flag must still be read on every event.
+        class Toggleable(RecordingTracer):
+            enabled = True
+
+        child = Toggleable()
+        always = RecordingTracer()
+        tee = TeeTracer((child, always))
+        tee.on_run_end("before", 0.1)
+        child.enabled = False
+        tee.on_run_end("while-off", 0.2)
+        tee.on_transfer_attempt(3, 4)
+        child.enabled = True
+        tee.on_run_end("after", 0.3)
+        assert [event["label"] for event in child.named("run_end")] == [
+            "before",
+            "after",
+        ]
+        assert not child.named("transfer_attempt")
+        assert [event["label"] for event in always.named("run_end")] == [
+            "before",
+            "while-off",
+            "after",
+        ]
+        assert len(always.named("transfer_attempt")) == 1
+
     def test_disabled_tee_suppresses_event_allocation(self, line_scenario):
         # The event site's `if tracer.enabled:` guard is the allocation
         # gate — an all-NullTracer tee must report disabled so the state
